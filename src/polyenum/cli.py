@@ -3,7 +3,9 @@
 Reads a JSON instance document, streams one record per solution to stdout
 in traversal order, and keeps diagnostics, statistics and verification
 chatter on stderr.  Exit codes: 0 on success, 1 when a brute-force
-cross-check disagrees, 2 for unusable input or flags.
+cross-check disagrees, 2 for unusable input or flags, 141 when the reader
+of stdout goes away (``polyenum ... | head``), 130 on Ctrl-C.  The last
+two follow the shell's 128 + signal number convention and print nothing.
 
 Document format (all ids are integers starting at 1)::
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, TextIO
 
@@ -227,6 +230,28 @@ def _verify(inst: Instance, emitted: List[Solution], args, err: TextIO) -> bool:
     return ok
 
 
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+
+
+def _point_at_devnull(stream: TextIO) -> None:
+    """Send ``stream``'s descriptor to the null device, if it has one.
+
+    Output still buffered for a closed pipe is flushed again at exit;
+    afterwards it lands in the null device instead of raising a second
+    time.
+    """
+    try:
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def run(
     argv: Optional[List[str]] = None,
     stdout: Optional[TextIO] = None,
@@ -234,6 +259,16 @@ def run(
 ) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
+    try:
+        return _run(argv, out, err)
+    except BrokenPipeError:
+        _point_at_devnull(out)
+        return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
+
+
+def _run(argv: Optional[List[str]], out: TextIO, err: TextIO) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)

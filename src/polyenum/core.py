@@ -369,11 +369,14 @@ class Instance:
             raise ContractError("common_item_set of an empty element set")
         if x.capacity != self.n:
             raise ValueError("element set from a different universe")
-        m = (1 << (self.q + 1)) - 2
-        for v in x:
-            m &= self._sigma_masks[v]
-            if m == 0:
-                break
+        # x shares item i iff x sits inside item i's element slice: q
+        # mask tests instead of a walk over the (often larger) x.
+        xm = x._mask
+        m = 0
+        im = self._item_masks
+        for i in range(1, self.q + 1):
+            if not xm & ~im[i]:
+                m |= 1 << i
         return IdSet._from_mask(self.q, m)
 
     def elements_with_item(self, i: int) -> ElementSet:

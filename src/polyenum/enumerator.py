@@ -25,7 +25,7 @@ can proceed in parallel with separate sinks and stats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional, Union
 
 from .core import (
     ALWAYS_POSITIVE,
@@ -109,7 +109,15 @@ class _Run:
         hull = self.inst.elements_with_items(items)
         return self.l1(component, hull) == component
 
-    def parent(self, s: Solution) -> Solution:
+    def parent(
+        self, s: Solution, target: Optional[ElementSet] = None
+    ) -> Union[Solution, bool]:
+        """The parent of ``s``, or with ``target`` whether its elements are ``target``.
+
+        Both questions share one routine.  With a target the passes stop at
+        the first step that rules it out, which is what makes the child
+        test cheap: most candidates fail within a few oracle calls.
+        """
         inst = self.inst
         k = s.k
         if not 1 <= k <= inst.q - 1:
@@ -119,23 +127,33 @@ class _Run:
         # First pass: decide the parent's item set, one item at a time in
         # ascending order.  An item survives exactly when some component
         # strictly above s still carries the items kept so far plus it.
+        # Items only accumulate, so the hull only shrinks: once it loses
+        # part of the target, the parent cannot be the target.
         items = inst.item_set([k])
         for i in s.items.remove(k):
             trial = items.add(i)
             hull = inst.elements_with_items(trial)
             if self.l1(s.elements, hull) != s.elements:
                 items = trial
+                if target is not None and not target.issubset(hull):
+                    return False
         # Second pass: grow the element set greedily in ascending id order.
         # An element is kept when some component within the hull still
         # contains everything grown so far plus it; the first grown set
-        # that is itself a solution is the parent.
+        # that is itself a solution is the parent.  The parent contains
+        # every kept element, so keeping one outside the target settles
+        # the answer.
         hull = inst.elements_with_items(items)
         grown = s.elements
         for u in hull - s.elements:
             trial = grown.add(u)
             if self.l1(trial, hull) is not None:
+                if target is not None and u not in target:
+                    return False
                 grown = trial
                 if self.is_solution(grown):
+                    if target is not None:
+                        return grown == target
                     return make_solution(inst, grown)
         raise ContractError(
             "no strict superset solution found; the input is a root of its "
@@ -169,7 +187,7 @@ class _Run:
                 if not self.is_solution(c, items_c):
                     continue
                 s = Solution(c, items_c, k)
-                if self.parent(s).elements != t.elements:
+                if not self.parent(s, t.elements):
                     continue
                 yield s
 

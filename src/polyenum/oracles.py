@@ -2,15 +2,20 @@
 
 Two set systems are shipped: a family listed verbatim (the correctness
 workhorse at desk scale) and the connected induced subgraphs of a simple
-undirected graph.  Both are immutable after construction and deterministic,
-so concurrent read-only queries are safe.
+undirected graph.  Both are deterministic, and concurrent queries are safe.
+The explicit backend is immutable after construction.  The graph backend
+keeps a one-hull memo of the components its ``l1`` queries found; those
+are pure functions of the query, so the memo never changes an answer, and
+it holds one hull's components at most, O(n) memory.  ``OracleStats``
+counts logical calls, memo hits included, so the call envelope of the
+enumeration does not depend on it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import ContractError, ElementSet, IdSet, SetSystemOracle, lex_sort_key, subset_lex_less
+from .core import ContractError, ElementSet, IdSet, SetSystemOracle, lex_sort_key
 
 
 def _check_l1_args(x: ElementSet, y: ElementSet) -> None:
@@ -23,9 +28,10 @@ def _check_l1_args(x: ElementSet, y: ElementSet) -> None:
 class ExplicitFamilyOracle(SetSystemOracle):
     """A set system whose component family is stored as a plain list.
 
-    Maximality queries scan the family pairwise, which is quadratic in the
-    family size.  That is intentional: this backend exists to be obviously
-    correct at desk scale, not to be fast.
+    Queries scan the members' bitmasks in subset order
+    (:func:`subset_lex_less`), fixed once at construction.  ``l1`` is
+    linear in the family size and ``l2`` at worst quadratic.  This
+    backend exists to be obviously correct at desk scale, not to be fast.
     """
 
     def __init__(self, n: int, family: Iterable[Iterable[int]]) -> None:
@@ -45,24 +51,34 @@ class ExplicitFamilyOracle(SetSystemOracle):
             seen.add(c)
             members.append(c)
         self.family: Tuple[ElementSet, ...] = tuple(members)
+        # The members in subset order, and their masks for the scans.
+        self._ordered: Tuple[ElementSet, ...] = tuple(sorted(members, key=lex_sort_key))
+        self._masks: Tuple[int, ...] = tuple(c._mask for c in self._ordered)
 
     def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
         _check_l1_args(x, y)
-        candidates = [c for c in self.family if x.issubset(c) and c.issubset(y)]
-        best: Optional[ElementSet] = None
-        for c in candidates:
-            # Maximal among the candidates; any strictly larger component
-            # inside y would also contain x, so this is maximality within y.
-            if any(c < d for d in candidates):
-                continue
-            if best is None or subset_lex_less(c, best):
-                best = c
-        return best
+        xm, ym = x._mask, y._mask
+        # The first candidate in subset order is maximal, since a set
+        # precedes its proper subsets, and it wins the tie-break.
+        for c, m in zip(self._ordered, self._masks):
+            if not xm & ~m and not m & ~ym:
+                return c
+        return None
 
     def l2(self, y: ElementSet) -> List[ElementSet]:
-        candidates = [c for c in self.family if c.issubset(y)]
-        maximal = [c for c in candidates if not any(c < d for d in candidates)]
-        maximal.sort(key=lex_sort_key)
+        ym = y._mask
+        maximal: List[ElementSet] = []
+        kept: List[int] = []
+        # In subset order every strict superset comes first, and so does a
+        # maximal one above it: a candidate is maximal iff no kept one
+        # contains it.
+        for c, m in zip(self._ordered, self._masks):
+            if m & ~ym:
+                continue
+            if any(not m & ~k for k in kept):
+                continue
+            kept.append(m)
+            maximal.append(c)
         return maximal
 
     def delta_hint(self) -> int:
@@ -75,7 +91,8 @@ class GraphConnectivityOracle(SetSystemOracle):
     The graph is simple and undirected, with vertices in ``[1, n]``.
     Connectivity queries run an iterative breadth-first sweep restricted to
     the queried vertex set, entirely on bitmasks, so no recursion depth is
-    involved however large the graph gets.
+    involved however large the graph gets.  Consecutive ``l1`` queries on
+    one hull reuse the components already swept there.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
@@ -90,6 +107,10 @@ class GraphConnectivityOracle(SetSystemOracle):
                 raise ValueError(f"self-loop at vertex {u}")
             self._adj[u] |= 1 << v
             self._adj[v] |= 1 << u
+        # The components of the last l1 hull found so far, disjoint masks.
+        # Each is a pure function of the hull, so the memo never changes an
+        # answer; a new hull replaces the slot, which keeps it O(n).
+        self._memo: Tuple[int, List[int]] = (-1, [])
 
     @property
     def adjacency(self) -> Dict[int, Tuple[int, ...]]:
@@ -115,7 +136,18 @@ class GraphConnectivityOracle(SetSystemOracle):
 
     def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
         _check_l1_args(x, y)
-        comp = self._component_mask(x.min_id(), y._mask)
+        ymask = y._mask
+        memo = self._memo
+        if memo[0] != ymask:
+            memo = (ymask, [])
+            self._memo = memo
+        seed = x.min_id()
+        for comp in memo[1]:
+            if comp >> seed & 1:
+                break
+        else:
+            comp = self._component_mask(seed, ymask)
+            memo[1].append(comp)
         if x._mask & ~comp:
             return None
         return IdSet._from_mask(self.n, comp)

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyenum
 from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle
 from polyenum.cli import InstanceFormatError, parse_instance, run
 from polyenum import testkit
@@ -209,3 +214,59 @@ class TestRun:
         out = CountingIO()
         assert run(["--input", path], stdout=out, stderr=io.StringIO()) == 0
         assert out.flushes >= len(out.getvalue().splitlines())
+
+
+class RaisingIO(io.StringIO):
+    """A stdout whose writes fail with ``exc`` once ``budget`` writes went through."""
+
+    def __init__(self, exc, budget=0):
+        super().__init__()
+        self.exc = exc
+        self.budget = budget
+
+    def write(self, text):
+        if self.budget <= 0:
+            raise self.exc
+        self.budget -= 1
+        return super().write(text)
+
+
+class TestInterruptedOutput:
+    def test_broken_pipe_exits_141_quietly(self, tmp_path):
+        path = write_doc(tmp_path, P3_DOC)
+        out, err = RaisingIO(BrokenPipeError(32, "Broken pipe"), budget=2), io.StringIO()
+        assert run(["--input", path], stdout=out, stderr=err) == 141
+        assert out.getvalue() == "1 2 3\t-\n"
+        assert err.getvalue() == ""
+
+    def test_keyboard_interrupt_exits_130(self, tmp_path):
+        path = write_doc(tmp_path, P3_DOC)
+        out, err = RaisingIO(KeyboardInterrupt()), io.StringIO()
+        assert run(["--input", path], stdout=out, stderr=err) == 130
+        assert err.getvalue() == ""
+
+    def test_reader_closing_the_pipe(self, tmp_path):
+        # The 30-cycle's 871 component records fill far more than a pipe
+        # buffer, so the CLI is still writing when the reader goes away.
+        n = 30
+        doc = {"elements": n, "system": {"kind": "graph",
+                                         "edges": [[v, v % n + 1] for v in range(1, n + 1)]}}
+        src = str(Path(polyenum.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polyenum.cli", "--input", write_doc(tmp_path, doc),
+             "--components", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            first = json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert first["elements"] == list(range(1, n + 1))
+        assert proc.returncode == 141
+        assert err == b""

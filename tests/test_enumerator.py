@@ -16,6 +16,7 @@ from polyenum import (
     make_solution,
     parent,
 )
+from polyenum.enumerator import _Run
 from polyenum.testkit import (
     RandomSpec,
     brute_force_parent,
@@ -100,6 +101,26 @@ class TestParent:
             assert got.elements > s.elements
             assert got.k == s.k
             assert is_solution(inst, got.elements)
+
+
+ACCEPTANCE_SPECS = [RandomSpec(kind="explicit", n_range=(1, 7), seed=s) for s in range(100)] + [
+    RandomSpec(kind="graph", n_range=(1, 8), seed=s) for s in range(1000, 1100)
+]
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
+def test_parent_target_test_agrees_with_full_parent(spec):
+    """The early-exit form answers exactly "is the parent's element set t?"."""
+    inst = random_instance(spec)
+    sols = brute_force_solutions(inst)
+    run = _Run(inst)
+    for s in sols:
+        group = [t for t in sols if t.k == s.k]
+        if not 1 <= s.k <= inst.q - 1 or not any(s.elements < t.elements for t in group):
+            continue  # root of its group
+        p = parent(inst, s)
+        for t in group:
+            assert run.parent(s, t.elements) == (p.elements == t.elements)
 
 
 class TestChildren:

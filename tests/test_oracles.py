@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -10,6 +12,7 @@ from polyenum import (
     IdSet,
     subset_lex_less,
 )
+from polyenum.core import lex_sort_key
 from polyenum.testkit import materialize_components
 
 
@@ -169,3 +172,132 @@ def test_explicit_family_of_connected_sets_matches_graph_oracle(seed):
                     # maximal candidate containing x is unique and the two
                     # backends must agree exactly
                     assert graph.l1(x, y) == explicit.l1(x, y)
+
+
+def random_graph(rng, n, p):
+    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_graph_memo_answers_like_a_fresh_oracle(seed):
+    # Sparse graphs, so hulls split into several components and many x
+    # straddle two of them (answer None).  Queries cycle through a small
+    # pool of hulls, so the one-hull slot is both reused and replaced.
+    rng = random.Random(500 + seed)
+    n = rng.randint(4, 10)
+    edges = random_graph(rng, n, 0.3)
+    memo = GraphConnectivityOracle(n, edges)
+    hulls = [rng.getrandbits(n) << 1 for _ in range(4)]
+    hulls = [h for h in hulls if h] or [2]
+    queries = nones = replaced = 0
+    for _ in range(200):
+        ym = rng.choice(hulls)
+        xm = ym & (rng.getrandbits(n) << 1)
+        if not xm:
+            continue
+        queries += 1
+        x, y = IdSet._from_mask(n, xm), IdSet._from_mask(n, ym)
+        replaced += memo._memo[0] != ym
+        got = memo.l1(x, y)
+        assert got == GraphConnectivityOracle(n, edges).l1(x, y)
+        nones += got is None
+        if rng.random() < 0.1:
+            assert memo.l2(y) == GraphConnectivityOracle(n, edges).l2(y)
+        # the slot holds disjoint components of the current hull only
+        hull, comps = memo._memo
+        assert hull == ym
+        union = 0
+        for c in comps:
+            assert not c & union and not c & ~hull
+            union |= c
+    assert 1 < replaced < queries
+    assert nones > 0
+
+
+def test_graph_memo_shared_across_threads():
+    # More threads than cores on one oracle, with a short switch interval
+    # so that threads interleave inside l1: a race on the memo slot must
+    # cost work, never an answer.
+    rng = random.Random(99)
+    n = 12
+    edges = random_graph(rng, n, 0.25)
+    shared = GraphConnectivityOracle(n, edges)
+    hulls = [rng.getrandbits(n) << 1 | 2 for _ in range(3)]
+    jobs = []
+    for _ in range(6):
+        queries = []
+        for _ in range(300):
+            ym = rng.choice(hulls)
+            xm = ym & (rng.getrandbits(n) << 1) or ym & -ym
+            x, y = IdSet._from_mask(n, xm), IdSet._from_mask(n, ym)
+            queries.append((x, y, GraphConnectivityOracle(n, edges).l1(x, y)))
+        jobs.append(queries)
+    mismatches = []
+
+    def work(queries):
+        for x, y, want in queries:
+            if shared.l1(x, y) != want:
+                mismatches.append((x, y))
+
+    threads = [threading.Thread(target=work, args=(q,)) for q in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def reference_l1(family, x, y):
+    """The maximal-then-least scan on IdSet operations."""
+    candidates = [c for c in family if x.issubset(c) and c.issubset(y)]
+    best = None
+    for c in candidates:
+        if any(c < d for d in candidates):
+            continue
+        if best is None or subset_lex_less(c, best):
+            best = c
+    return best
+
+
+def reference_l2(family, y):
+    candidates = [c for c in family if c.issubset(y)]
+    maximal = [c for c in candidates if not any(c < d for d in candidates)]
+    maximal.sort(key=lex_sort_key)
+    return maximal
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_explicit_mask_scans_match_idset_reference(seed):
+    # Families of many incomparable mid-sized sets; y is a union of
+    # members, so it holds several maximal candidates, and x is a common
+    # part of two of them, so the l1 tie-break decides the answer.
+    rng = random.Random(700 + seed)
+    n = rng.randint(5, 10)
+    masks = {rng.getrandbits(n) << 1 for _ in range(rng.randint(5, 40))}
+    masks.discard(0)
+    family = [IdSet._from_mask(n, m) for m in masks]
+    rng.shuffle(family)
+    oracle = ExplicitFamilyOracle(n, family)
+    assert list(oracle.family) == family
+    ties = 0
+    for _ in range(60):
+        a, b, c = (rng.choice(family) for _ in range(3))
+        y = a | b | c
+        if rng.random() < 0.3:
+            y = y | IdSet._from_mask(n, rng.getrandbits(n) << 1)
+        assert oracle.l2(y) == reference_l2(family, y)
+        lone = IdSet(n, [rng.choice(list(y))])
+        for x in (a & b, a, lone, IdSet._from_mask(n, y._mask & (rng.getrandbits(n) << 1))):
+            if not x:
+                continue
+            want = reference_l1(family, x, y)
+            assert oracle.l1(x, y) == want
+            maximal_over_x = [m for m in reference_l2(family, y) if x.issubset(m)]
+            ties += len(maximal_over_x) > 1
+    assert ties > 0
