@@ -30,7 +30,6 @@ import os
 import sys
 from typing import List, Optional, TextIO
 
-from . import testkit
 from .components import build_reduction
 from .core import ContractError, Instance, OracleStats, SizeAbove
 from .enumerator import Solution, enumerate_all, enumerate_k
@@ -200,6 +199,10 @@ def _json_record(s: Solution) -> str:
 
 
 def _verify(inst: Instance, emitted: List[Solution], args, err: TextIO) -> bool:
+    # testkit (and the random module) load only for --verify and --stats,
+    # not at every start of the CLI.
+    from . import testkit
+
     if args.components:
         expected_sets = testkit.materialize_components(inst.oracle, inst.n)
     else:
@@ -322,6 +325,8 @@ def _run(argv: Optional[List[str]], out: TextIO, err: TextIO) -> int:
         return 2
 
     if args.stats:
+        from . import testkit
+
         for name, value in stats.as_dict().items():
             print(f"{name}={value}", file=err)
         print(

@@ -11,16 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import (
-    ContractError,
-    ElementSet,
-    IdSet,
-    Instance,
-    ItemSet,
-    OracleStats,
-    SetSystemOracle,
-    VolumeFunction,
-)
+from .core import Instance, OracleStats, SetSystemOracle, VolumeFunction
 from .enumerator import EmitSink, enumerate_all
 
 
@@ -40,30 +31,23 @@ class ReducedInstance(Instance):
         self.n = n
         self.q = n
         self.oracle = oracle
+        self._full = (1 << (n + 1)) - 2
 
-    def sigma(self, v: int) -> ItemSet:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"element {v} outside [1, {self.n}]")
-        return IdSet.full(self.q).remove(v)
+    # Only the mask algebra changes (items and elements share the universe
+    # mask ``_full``); the public methods inherited from Instance check
+    # their arguments and wrap these.
 
-    def common_item_set(self, x: ElementSet) -> ItemSet:
-        if not x:
-            raise ContractError("common_item_set of an empty element set")
-        if x.capacity != self.n:
-            raise ValueError("element set from a different universe")
-        return x.complement()
+    def _sigma_mask(self, v: int) -> int:
+        return self._full & ~(1 << v)
 
-    def elements_with_item(self, i: int) -> ElementSet:
-        if not 0 <= i <= self.q:
-            raise ValueError(f"item {i} outside [0, {self.q}]")
-        if i == 0:
-            return IdSet.full(self.n)
-        return IdSet.full(self.n).remove(i)
+    def _slice_mask(self, i: int) -> int:
+        return self._full & ~(1 << i)
 
-    def elements_with_items(self, items: ItemSet) -> ElementSet:
-        if items.capacity != self.q:
-            raise ValueError("item set from a different universe")
-        return items.complement()
+    def _common_mask(self, xm: int) -> int:
+        return self._full & ~xm
+
+    def _hull_mask(self, items: int) -> int:
+        return self._full & ~items
 
 
 def build_reduction(n: int, oracle: SetSystemOracle) -> Instance:

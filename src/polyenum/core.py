@@ -199,6 +199,24 @@ def pair_lex_less(inst: "Instance", x: ElementSet, y: ElementSet) -> bool:
     return subset_lex_less(x, y)
 
 
+def check_l1_masks(xm: int, ym: int) -> None:
+    """The ``l1`` precondition on masks: ``x`` non-empty and inside ``y``."""
+    if not xm or xm & ~ym:
+        raise ContractError(
+            "l1 requires a non-empty lower bound set" if not xm
+            else "l1 requires the lower bound to sit inside the upper bound"
+        )
+
+
+def _answer_mask(n: int, answer: object, query: str) -> int:
+    if not isinstance(answer, IdSet) or answer.capacity != n:
+        raise ContractError(
+            f"{query} answered {answer!r}, not a set over the instance's "
+            f"elements [1, {n}]"
+        )
+    return answer._mask
+
+
 class SetSystemOracle:
     """Access to a set system over ``[1, n]`` through two maximality queries.
 
@@ -213,6 +231,12 @@ class SetSystemOracle:
 
     Backends must be deterministic: repeated identical queries return
     identical answers, so whole traversals replay bit for bit.
+
+    The enumerator asks through ``_l1_mask`` and ``_l2_masks``, which take
+    and return bitmasks over ``[1, n]``.  Their defaults wrap the masks in
+    :class:`IdSet` and call ``l1``/``l2``, so a custom backend implements
+    only those two; an answer that is not a set over ``[1, n]`` raises
+    :class:`ContractError`.  The shipped backends answer on masks directly.
     """
 
     def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
@@ -224,6 +248,15 @@ class SetSystemOracle:
     def delta_hint(self) -> int:
         """Coarse upper bound on ``len(l2(y))`` for any query; reporting only."""
         raise NotImplementedError
+
+    def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
+        """``l1`` on masks over ``[1, n]``; the caller has checked the precondition."""
+        z = self.l1(IdSet._from_mask(n, xm), IdSet._from_mask(n, ym))
+        return None if z is None else _answer_mask(n, z, "l1")
+
+    def _l2_masks(self, n: int, ym: int) -> List[int]:
+        """``l2`` on masks over ``[1, n]``, in the same order."""
+        return [_answer_mask(n, c, "l2") for c in self.l2(IdSet._from_mask(n, ym))]
 
 
 class VolumeFunction:
@@ -352,11 +385,43 @@ class Instance:
     def item_set(self, ids: Iterable[int] = ()) -> ItemSet:
         return IdSet(self.q, ids)
 
+    # The attribute algebra on masks, which the enumerator calls directly.
+    # Arguments are trusted: the public methods below check them.
+
+    def _sigma_mask(self, v: int) -> int:
+        """Items of element ``v``."""
+        return self._sigma_masks[v]
+
+    def _slice_mask(self, i: int) -> int:
+        """Elements carrying item ``i``; item 0 means all."""
+        return self._item_masks[i]
+
+    def _common_mask(self, xm: int) -> int:
+        """Items carried by every element of the non-empty ``xm``."""
+        # x shares item i iff x sits inside item i's element slice: q
+        # mask tests instead of a walk over the (often larger) x.
+        m = 0
+        im = self._item_masks
+        for i in range(1, self.q + 1):
+            if not xm & ~im[i]:
+                m |= 1 << i
+        return m
+
+    def _hull_mask(self, items: int) -> int:
+        """Elements carrying every item of ``items``; all of them when empty."""
+        m = (1 << (self.n + 1)) - 2
+        im = self._item_masks
+        while items and m:
+            lsb = items & -items
+            m &= im[lsb.bit_length() - 1]
+            items ^= lsb
+        return m
+
     def sigma(self, v: int) -> ItemSet:
         """Attribute set of element ``v``."""
         if not 1 <= v <= self.n:
             raise ValueError(f"element {v} outside [1, {self.n}]")
-        return IdSet._from_mask(self.q, self._sigma_masks[v])
+        return IdSet._from_mask(self.q, self._sigma_mask(v))
 
     def common_item_set(self, x: ElementSet) -> ItemSet:
         """Items carried by every element of ``x``.
@@ -369,21 +434,13 @@ class Instance:
             raise ContractError("common_item_set of an empty element set")
         if x.capacity != self.n:
             raise ValueError("element set from a different universe")
-        # x shares item i iff x sits inside item i's element slice: q
-        # mask tests instead of a walk over the (often larger) x.
-        xm = x._mask
-        m = 0
-        im = self._item_masks
-        for i in range(1, self.q + 1):
-            if not xm & ~im[i]:
-                m |= 1 << i
-        return IdSet._from_mask(self.q, m)
+        return IdSet._from_mask(self.q, self._common_mask(x._mask))
 
     def elements_with_item(self, i: int) -> ElementSet:
         """Elements whose attributes include item ``i``; item 0 means all."""
         if not 0 <= i <= self.q:
             raise ValueError(f"item {i} outside [0, {self.q}]")
-        return IdSet._from_mask(self.n, self._item_masks[i])
+        return IdSet._from_mask(self.n, self._slice_mask(i))
 
     def elements_with_items(self, items: ItemSet) -> ElementSet:
         """Elements whose attributes include every member of ``items``.
@@ -392,9 +449,4 @@ class Instance:
         """
         if items.capacity != self.q:
             raise ValueError("item set from a different universe")
-        m = (1 << (self.n + 1)) - 2
-        for i in items:
-            m &= self._item_masks[i]
-            if m == 0:
-                break
-        return IdSet._from_mask(self.n, m)
+        return IdSet._from_mask(self.n, self._hull_mask(items._mask))

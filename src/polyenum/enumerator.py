@@ -25,16 +25,18 @@ can proceed in parallel with separate sinks and stats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .core import (
     ALWAYS_POSITIVE,
     ContractError,
     ElementSet,
+    IdSet,
     Instance,
     ItemSet,
     OracleStats,
     VolumeFunction,
+    check_l1_masks,
 )
 
 
@@ -66,10 +68,21 @@ def make_solution(inst: Instance, elements: ElementSet) -> Solution:
     return Solution(elements, items, items.min_id())
 
 
-class _Run:
-    """One enumeration run: instance plus counters, pruning and output."""
+def _min_id(m: int) -> int:
+    """Smallest id in the mask ``m``, or the sentinel 0 when it is empty."""
+    return (m & -m).bit_length() - 1 if m else 0
 
-    __slots__ = ("inst", "stats", "rho", "sink")
+
+class _Run:
+    """One enumeration run: instance plus counters, pruning and output.
+
+    Everything inside a run works on bitmasks: ``l1``, ``l2``,
+    ``is_solution``, ``_parent`` and the candidate scan take and return
+    element and item masks.  :class:`Solution` objects are built only for
+    the solutions handed out: roots, children and the public parent.
+    """
+
+    __slots__ = ("inst", "oracle", "n", "stats", "rho", "sink")
 
     def __init__(
         self,
@@ -79,17 +92,20 @@ class _Run:
         sink: Optional[EmitSink] = None,
     ) -> None:
         self.inst = inst
+        self.oracle = inst.oracle
+        self.n = inst.n
         self.stats = stats if stats is not None else OracleStats()
         self.rho = rho if rho is not None else ALWAYS_POSITIVE
         self.sink = sink
 
-    def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
+    def l1(self, xm: int, ym: int) -> Optional[int]:
         self.stats.l1_calls += 1
-        return self.inst.oracle.l1(x, y)
+        check_l1_masks(xm, ym)
+        return self.oracle._l1_mask(self.n, xm, ym)
 
-    def l2(self, y: ElementSet) -> List[ElementSet]:
+    def l2(self, ym: int) -> List[int]:
         self.stats.l2_calls += 1
-        return self.inst.oracle.l2(y)
+        return self.oracle._l2_masks(self.n, ym)
 
     def rho_positive(self, elements: ElementSet) -> bool:
         self.stats.rho_calls += 1
@@ -100,26 +116,38 @@ class _Run:
         if self.sink is not None:
             self.sink(s)
 
-    def is_solution(self, component: ElementSet, items: Optional[ItemSet] = None) -> bool:
+    def solution(self, cm: int, im: int, k: int) -> Solution:
+        return Solution(IdSet._from_mask(self.n, cm), IdSet._from_mask(self.inst.q, im), k)
+
+    def is_solution(self, cm: int, im: int) -> bool:
+        """Whether the component ``cm``, whose common items are ``im``, is a solution."""
         # A component is a solution iff it is already maximal among the
         # elements carrying all of its common items: the single l1 probe
         # below answers exactly that.
-        if items is None:
-            items = self.inst.common_item_set(component)
-        hull = self.inst.elements_with_items(items)
-        return self.l1(component, hull) == component
+        return self.l1(cm, self.inst._hull_mask(im)) == cm
 
     def parent(
         self, s: Solution, target: Optional[ElementSet] = None
     ) -> Union[Solution, bool]:
-        """The parent of ``s``, or with ``target`` whether its elements are ``target``.
+        """The parent of ``s``, or with ``target`` whether its elements are ``target``."""
+        sm, sim = s.elements._mask, s.items._mask
+        if target is not None:
+            return self._parent(sm, sim, s.k, target._mask)
+        grown, items = self._parent(sm, sim, s.k)
+        return self.solution(grown, items, s.k)
 
-        Both questions share one routine.  With a target the passes stop at
-        the first step that rules it out, which is what makes the child
-        test cheap: most candidates fail within a few oracle calls.
+    def _parent(
+        self, sm: int, sim: int, k: int, target: Optional[int] = None
+    ) -> Union[Tuple[int, int], bool]:
+        """Parent of the solution ``sm`` with items ``sim`` in group ``k``.
+
+        Returns the parent's element and item masks, or with ``target``
+        whether the parent's elements are ``target``.  Both questions share
+        one routine.  With a target the passes stop at the first step that
+        rules it out, which is what makes the child test cheap: most
+        candidates fail within a few oracle calls.
         """
         inst = self.inst
-        k = s.k
         if not 1 <= k <= inst.q - 1:
             raise ContractError(
                 f"solutions in group {k} are roots and have no parent"
@@ -127,34 +155,42 @@ class _Run:
         # First pass: decide the parent's item set, one item at a time in
         # ascending order.  An item survives exactly when some component
         # strictly above s still carries the items kept so far plus it.
-        # Items only accumulate, so the hull only shrinks: once it loses
-        # part of the target, the parent cannot be the target.
-        items = inst.item_set([k])
-        for i in s.items.remove(k):
-            trial = items.add(i)
-            hull = inst.elements_with_items(trial)
-            if self.l1(s.elements, hull) != s.elements:
-                items = trial
-                if target is not None and not target.issubset(hull):
+        # Only the hull of the kept items is needed later, and keeping an
+        # item narrows it to that item's slice.  Items only accumulate, so
+        # the hull only shrinks: once it loses part of the target, the
+        # parent cannot be the target.
+        hull = inst._slice_mask(k)
+        rest = sim & ~(1 << k)
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            trial = hull & inst._slice_mask(bit.bit_length() - 1)
+            if self.l1(sm, trial) != sm:
+                hull = trial
+                if target is not None and target & ~hull:
                     return False
         # Second pass: grow the element set greedily in ascending id order.
         # An element is kept when some component within the hull still
         # contains everything grown so far plus it; the first grown set
-        # that is itself a solution is the parent.  The parent contains
-        # every kept element, so keeping one outside the target settles
-        # the answer.
-        hull = inst.elements_with_items(items)
-        grown = s.elements
-        for u in hull - s.elements:
-            trial = grown.add(u)
+        # that is itself a solution is the parent.  Each kept element
+        # narrows the common items to its own.  The parent contains every
+        # kept element, so keeping one outside the target settles the
+        # answer.
+        grown, items = sm, sim
+        rest = hull & ~sm
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            trial = grown | bit
             if self.l1(trial, hull) is not None:
-                if target is not None and u not in target:
+                if target is not None and not target & bit:
                     return False
                 grown = trial
-                if self.is_solution(grown):
+                items &= inst._sigma_mask(bit.bit_length() - 1)
+                if self.is_solution(grown, items):
                     if target is not None:
                         return grown == target
-                    return make_solution(inst, grown)
+                    return grown, items
         raise ContractError(
             "no strict superset solution found; the input is a root of its "
             "group (or the oracle backend is inconsistent)"
@@ -172,24 +208,27 @@ class _Run:
         run cheapest first; the parent recomputation dominates.
         """
         inst = self.inst
+        tm, tim = t.elements._mask, t.items._mask
+        kbit = 1 << k  # k >= 1: only inner groups have children
         for j in range(k + 1, inst.q + 1):
-            if j in t.items:
+            jbit = 1 << j
+            if tim & jbit:
                 continue
-            y = t.elements & inst.elements_with_item(j)
+            y = tm & inst._slice_mask(j)
             if not y:
                 continue  # oracles only take non-empty queries
-            for c in self.l2(y):
-                items_c = inst.common_item_set(c)
-                if items_c.min_id() != k:
+            for cm in self.l2(y):
+                im = inst._common_mask(cm)
+                if im & -im != kbit:
+                    continue  # another group
+                new = im & ~tim
+                if new & -new != jbit:
+                    continue  # generated for a smaller j
+                if not self.is_solution(cm, im):
                     continue
-                if (items_c - t.items).min_id() != j:
+                if not self._parent(cm, im, k, tm):
                     continue
-                if not self.is_solution(c, items_c):
-                    continue
-                s = Solution(c, items_c, k)
-                if not self.parent(s, t.elements):
-                    continue
-                yield s
+                yield self.solution(cm, im, k)
 
     def descend(self, t: Solution, k: int, depth: int) -> None:
         """Emit every kept descendant of ``t``, stack-based.
@@ -229,7 +268,8 @@ def is_solution(
     ``component`` should be a component of the instance's system; for a
     non-component the answer is False.
     """
-    return _Run(inst, stats).is_solution(component)
+    items = inst.common_item_set(component)
+    return _Run(inst, stats).is_solution(component._mask, items._mask)
 
 
 def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> Solution:
@@ -300,16 +340,16 @@ def enumerate_k(
     if not 0 <= k <= inst.q:
         raise ValueError(f"group id {k} outside [0, {inst.q}]")
     run = _Run(inst, stats, rho, sink)
-    vk = inst.elements_with_item(k)
+    vk = inst._slice_mask(k)
     if not vk:
         return
-    for c in run.l2(vk):
-        items = inst.common_item_set(c)
-        if items.min_id() != k:
+    for cm in run.l2(vk):
+        im = inst._common_mask(cm)
+        if _min_id(im) != k:
             continue
-        if not run.rho_positive(c):
+        t = run.solution(cm, im, k)
+        if not run.rho_positive(t.elements):
             continue
-        t = Solution(c, items, k)
         run.emit(t)
         if 1 <= k <= inst.q - 1:
             run.descend(t, k, 2)

@@ -9,20 +9,32 @@ are pure functions of the query, so the memo never changes an answer, and
 it holds one hull's components at most, O(n) memory.  ``OracleStats``
 counts logical calls, memo hits included, so the call envelope of the
 enumeration does not depend on it.
+
+Both backends answer the enumerator's mask queries (``_l1_mask``,
+``_l2_masks``) directly; their public ``l1``/``l2`` check the query and
+wrap those answers in :class:`IdSet`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import ContractError, ElementSet, IdSet, SetSystemOracle, lex_sort_key
+from .core import ElementSet, IdSet, SetSystemOracle, check_l1_masks, lex_sort_key
 
 
-def _check_l1_args(x: ElementSet, y: ElementSet) -> None:
-    if not x:
-        raise ContractError("l1 requires a non-empty lower bound set")
-    if not x.issubset(y):
-        raise ContractError("l1 requires the lower bound to sit inside the upper bound")
+def _mask_over(n: int, s: ElementSet) -> int:
+    if s.capacity != n:
+        raise ValueError(
+            f"element set over [1, {s.capacity}] queried on a backend over [1, {n}]"
+        )
+    return s._mask
+
+
+def _l1_query(n: int, x: ElementSet, y: ElementSet) -> Tuple[int, int]:
+    """The masks of a public ``l1`` query, checked as ``_Run.l1`` checks its own."""
+    xm, ym = _mask_over(n, x), _mask_over(n, y)
+    check_l1_masks(xm, ym)
+    return xm, ym
 
 
 class ExplicitFamilyOracle(SetSystemOracle):
@@ -51,35 +63,40 @@ class ExplicitFamilyOracle(SetSystemOracle):
             seen.add(c)
             members.append(c)
         self.family: Tuple[ElementSet, ...] = tuple(members)
-        # The members in subset order, and their masks for the scans.
-        self._ordered: Tuple[ElementSet, ...] = tuple(sorted(members, key=lex_sort_key))
-        self._masks: Tuple[int, ...] = tuple(c._mask for c in self._ordered)
+        # The members' masks in subset order, for the scans, and the stored
+        # member behind each mask, for the public answers.
+        self._masks: Tuple[int, ...] = tuple(
+            c._mask for c in sorted(members, key=lex_sort_key)
+        )
+        self._members: Dict[int, ElementSet] = {c._mask: c for c in members}
 
-    def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
-        _check_l1_args(x, y)
-        xm, ym = x._mask, y._mask
+    def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
         # The first candidate in subset order is maximal, since a set
         # precedes its proper subsets, and it wins the tie-break.
-        for c, m in zip(self._ordered, self._masks):
+        for m in self._masks:
             if not xm & ~m and not m & ~ym:
-                return c
+                return m
         return None
 
-    def l2(self, y: ElementSet) -> List[ElementSet]:
-        ym = y._mask
-        maximal: List[ElementSet] = []
+    def _l2_masks(self, n: int, ym: int) -> List[int]:
         kept: List[int] = []
         # In subset order every strict superset comes first, and so does a
         # maximal one above it: a candidate is maximal iff no kept one
         # contains it.
-        for c, m in zip(self._ordered, self._masks):
+        for m in self._masks:
             if m & ~ym:
                 continue
             if any(not m & ~k for k in kept):
                 continue
             kept.append(m)
-            maximal.append(c)
-        return maximal
+        return kept
+
+    def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
+        m = self._l1_mask(self.n, *_l1_query(self.n, x, y))
+        return None if m is None else self._members[m]
+
+    def l2(self, y: ElementSet) -> List[ElementSet]:
+        return [self._members[m] for m in self._l2_masks(self.n, _mask_over(self.n, y))]
 
     def delta_hint(self) -> int:
         return len(self.family)
@@ -134,35 +151,43 @@ class GraphConnectivityOracle(SetSystemOracle):
             frontier = reach & ymask & ~comp
         return comp
 
-    def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
-        _check_l1_args(x, y)
-        ymask = y._mask
+    def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
         memo = self._memo
-        if memo[0] != ymask:
-            memo = (ymask, [])
+        if memo[0] != ym:
+            memo = (ym, [])
             self._memo = memo
-        seed = x.min_id()
+        seed = (xm & -xm).bit_length() - 1
         for comp in memo[1]:
             if comp >> seed & 1:
                 break
         else:
-            comp = self._component_mask(seed, ymask)
+            comp = self._component_mask(seed, ym)
             memo[1].append(comp)
-        if x._mask & ~comp:
+        if xm & ~comp:
             return None
-        return IdSet._from_mask(self.n, comp)
+        return comp
 
-    def l2(self, y: ElementSet) -> List[ElementSet]:
-        comps: List[ElementSet] = []
-        remaining = y._mask
+    def _l2_masks(self, n: int, ym: int) -> List[int]:
+        comps: List[int] = []
+        remaining = ym
         while remaining:
             seed = (remaining & -remaining).bit_length() - 1
-            comp = self._component_mask(seed, y._mask)
-            comps.append(IdSet._from_mask(self.n, comp))
+            comp = self._component_mask(seed, ym)
+            comps.append(comp)
             remaining &= ~comp
         # Seeds were taken in ascending order and the components are
         # disjoint, so this is already sorted by subset_lex_less.
         return comps
+
+    def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
+        comp = self._l1_mask(self.n, *_l1_query(self.n, x, y))
+        return None if comp is None else IdSet._from_mask(self.n, comp)
+
+    def l2(self, y: ElementSet) -> List[ElementSet]:
+        return [
+            IdSet._from_mask(self.n, c)
+            for c in self._l2_masks(self.n, _mask_over(self.n, y))
+        ]
 
     def delta_hint(self) -> int:
         return self.n

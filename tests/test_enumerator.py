@@ -6,8 +6,12 @@ from polyenum import (
     ContractError,
     ExplicitFamilyOracle,
     IdSet,
+    Instance,
     OracleStats,
+    ReducedInstance,
+    SetSystemOracle,
     SizeAbove,
+    Solution,
     children,
     descendants,
     enumerate_all,
@@ -121,6 +125,82 @@ def test_parent_target_test_agrees_with_full_parent(spec):
         p = parent(inst, s)
         for t in group:
             assert run.parent(s, t.elements) == (p.elements == t.elements)
+
+
+class RecordingOracle(SetSystemOracle):
+    """Logs every l1 query; reached through the default mask adapter."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+
+    def l1(self, x, y):
+        self.log.append((x, y))
+        return self.inner.l1(x, y)
+
+    def l2(self, y):
+        return self.inner.l2(y)
+
+
+def parent_from_scratch(inst, s):
+    """The parent routine with every hull and common item set recomputed."""
+    l1 = inst.oracle.l1
+    items = inst.item_set([s.k])
+    for i in s.items.remove(s.k):
+        trial = items.add(i)
+        if l1(s.elements, inst.elements_with_items(trial)) != s.elements:
+            items = trial
+    hull = inst.elements_with_items(items)
+    grown = s.elements
+    for u in hull - s.elements:
+        trial = grown.add(u)
+        if l1(trial, hull) is not None:
+            grown = trial
+            common = inst.common_item_set(grown)
+            if l1(grown, inst.elements_with_items(common)) == grown:
+                return Solution(grown, common, s.k)
+    raise AssertionError("no parent")
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["solutions", "components"])
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
+def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
+    """parent() asks the same l1 queries as a from-scratch recomputation.
+
+    The mask routine keeps the item pass's hull and the element pass's
+    common items incrementally; every hull it hands the oracle, and the
+    parent's item set, must equal the recomputed ones.  The early-exit
+    form, asked about any strict superset, asks a prefix of the same
+    queries.
+    """
+    plain = random_instance(spec)
+    oracle = RecordingOracle(plain.oracle)
+    if reduced:
+        plain = ReducedInstance(plain.n, plain.oracle)
+        inst = ReducedInstance(plain.n, oracle)
+    else:
+        inst = Instance(plain.n, plain.q, [list(plain.sigma(v)) for v in range(1, plain.n + 1)],
+                        oracle)
+    sols = brute_force_solutions(plain)
+    run = _Run(inst)
+    for s in sols:
+        group = [t for t in sols if t.k == s.k]
+        if not 1 <= s.k <= inst.q - 1 or not any(s.elements < t.elements for t in group):
+            continue  # root of its group
+        oracle.log = []
+        want = parent_from_scratch(inst, s)
+        want_log = oracle.log
+        oracle.log = []
+        got = run.parent(s)
+        assert got == want
+        assert got.items == inst.common_item_set(got.elements)
+        assert oracle.log == want_log
+        for t in group:
+            if not s.elements < t.elements:
+                continue  # only a strict superset can be the parent
+            oracle.log = []
+            assert run.parent(s, t.elements) == (got.elements == t.elements)
+            assert oracle.log == want_log[: len(oracle.log)]
 
 
 class TestChildren:

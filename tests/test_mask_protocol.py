@@ -1,0 +1,238 @@
+"""The mask protocol between the enumerator, the algebra and the backends.
+
+The enumerator asks the backends through ``_l1_mask``/``_l2_masks`` and
+the instance through its ``_*_mask`` algebra.  These tests hold each mask
+method to the public IdSet method it serves, hold custom backends (which
+only implement the public ``l1``/``l2``) to the shipped backends' output,
+and check that an answer from another universe fails loudly.
+"""
+
+import io
+import random
+
+import pytest
+
+from polyenum import (
+    ContractError,
+    ExplicitFamilyOracle,
+    GraphConnectivityOracle,
+    IdSet,
+    Instance,
+    OracleStats,
+    ReducedInstance,
+    SetSystemOracle,
+    enumerate_all,
+    enumerate_components,
+)
+from polyenum import cli
+from polyenum.testkit import random_instance
+
+from conftest import P3_SIGMA
+from test_enumerator import ACCEPTANCE_SPECS
+
+
+class PublicOnly(SetSystemOracle):
+    """A custom backend: only the public IdSet ``l1``/``l2``, delegated."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def l1(self, x, y):
+        return self.inner.l1(x, y)
+
+    def l2(self, y):
+        return self.inner.l2(y)
+
+    def delta_hint(self):
+        return self.inner.delta_hint()
+
+
+def rendered(run):
+    """The CLI's ``--format json`` stream and the stats of ``run(sink, stats)``."""
+    lines, stats = [], OracleStats()
+    run(lambda s: lines.append(cli._json_record(s) + "\n"), stats)
+    return "".join(lines).encode("utf-8"), stats
+
+
+def same_stats(a, b):
+    return a.as_dict() == b.as_dict() and a.snapshots == b.snapshots
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
+def test_adapter_path_matches_shipped_backend(spec):
+    inst = random_instance(spec)
+    custom = Instance(inst.n, inst.q, [list(inst.sigma(v)) for v in range(1, inst.n + 1)],
+                      PublicOnly(inst.oracle))
+    want, want_stats = rendered(lambda sink, st: enumerate_all(inst, sink=sink, stats=st))
+    got, got_stats = rendered(lambda sink, st: enumerate_all(custom, sink=sink, stats=st))
+    assert got == want
+    assert same_stats(got_stats, want_stats)
+    want, want_stats = rendered(
+        lambda sink, st: enumerate_components(inst.oracle, inst.n, sink=sink, stats=st))
+    got, got_stats = rendered(
+        lambda sink, st: enumerate_components(PublicOnly(inst.oracle), inst.n, sink=sink, stats=st))
+    assert got == want
+    assert same_stats(got_stats, want_stats)
+
+
+class ForeignL1(PublicOnly):
+    """Answers ``l1`` with the right ids over a universe one element larger."""
+
+    def l1(self, x, y):
+        z = self.inner.l1(x, y)
+        return None if z is None else IdSet(z.capacity + 1, z)
+
+
+class ForeignL2(PublicOnly):
+    def l2(self, y):
+        return [IdSet(c.capacity + 1, c) for c in self.inner.l2(y)]
+
+
+class FrozensetL1(PublicOnly):
+    def l1(self, x, y):
+        z = self.inner.l1(x, y)
+        return None if z is None else frozenset(z)
+
+
+P3_EDGES = [(1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("broken", [ForeignL1, ForeignL2, FrozensetL1])
+def test_foreign_universe_answers_fail_loudly(broken):
+    # Compared with the instance's own sets, such answers used to be
+    # unequal, so is_solution said no and solutions vanished silently.
+    oracle = broken(GraphConnectivityOracle(3, P3_EDGES))
+    with pytest.raises(ContractError, match=r"not a set over the instance's elements \[1, 3\]"):
+        enumerate_all(Instance(3, 2, P3_SIGMA, oracle), sink=lambda s: None)
+    with pytest.raises(ContractError, match="not a set over"):
+        enumerate_components(oracle, 3, sink=lambda s: None)
+
+
+def test_cli_exits_2_on_a_foreign_universe_answer(tmp_path, monkeypatch):
+    path = tmp_path / "p3.json"
+    path.write_text('{"elements": 3, "items": 2, "sigma": [[1], [1, 2], [2]],'
+                    ' "system": {"kind": "graph", "edges": [[1, 2], [2, 3]]}}')
+    build = cli._build_oracle
+    monkeypatch.setattr(cli, "_build_oracle", lambda doc, n: ForeignL1(build(doc, n)))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["--input", str(path)], stdout=out, stderr=err) == 2
+    assert err.getvalue().startswith("error: l1 answered IdSet(4, ")
+    assert "not a set over the instance's elements [1, 3]" in err.getvalue()
+
+
+def random_graph_oracle(rng, n):
+    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.3]
+    return GraphConnectivityOracle(n, edges)
+
+
+def random_explicit_oracle(rng, n):
+    masks = {rng.getrandbits(n) << 1 for _ in range(rng.randint(1, 30))} - {0}
+    return ExplicitFamilyOracle(n, [IdSet._from_mask(n, m) for m in masks or {2}])
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("make", [random_graph_oracle, random_explicit_oracle],
+                         ids=["graph", "explicit"])
+def test_backend_mask_queries_match_public_queries(make, seed):
+    # Two identical backends, one asked on masks and one through the
+    # public methods, so each keeps its own graph memo.  Queries alternate
+    # between a few hulls: the memo slot is replaced and then reused.
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    state = rng.getstate()
+    masks = make(rng, n)
+    rng.setstate(state)
+    public = make(rng, n)
+    hulls = set()
+    while len(hulls) < 3:
+        hulls.add((rng.getrandbits(n) << 1) or 2)
+    hulls = sorted(hulls)
+    reused = replaced = 0
+    last = None
+    for _ in range(120):
+        ym = rng.choice(hulls)
+        reused += ym == last
+        replaced += ym != last
+        last = ym
+        y = IdSet._from_mask(n, ym)
+        for _ in range(3):
+            xm = ym & (rng.getrandbits(n) << 1) or ym & -ym
+            z = public.l1(IdSet._from_mask(n, xm), y)
+            assert masks._l1_mask(n, xm, ym) == (None if z is None else z._mask)
+            assert z is None or z.capacity == n
+        if rng.random() < 0.2:
+            assert masks._l2_masks(n, ym) == [c._mask for c in public.l2(y)]
+    assert reused > 0 and replaced > 1
+
+
+def test_explicit_public_answers_are_the_stored_members():
+    family = [IdSet(4, [1, 2]), IdSet(4, [3]), IdSet(4, [1, 2, 3])]
+    oracle = ExplicitFamilyOracle(4, family)
+    assert oracle.l1(IdSet(4, [1]), IdSet(4, [1, 2, 3, 4])) is family[2]
+    maximal = oracle.l2(IdSet(4, [1, 2, 4]))
+    assert maximal == [family[0]] and maximal[0] is family[0]
+
+
+@pytest.mark.parametrize("backend", [GraphConnectivityOracle(3, P3_EDGES),
+                                     ExplicitFamilyOracle(3, [[1], [1, 2]])],
+                         ids=["graph", "explicit"])
+def test_public_queries_check_their_universe(backend):
+    with pytest.raises(ValueError, match="backend over"):
+        backend.l1(IdSet(4, [1]), IdSet(4, [1, 2]))
+    with pytest.raises(ValueError, match="backend over"):
+        backend.l1(IdSet(3, [1]), IdSet(4, [1, 2]))
+    with pytest.raises(ValueError, match="backend over"):
+        backend.l2(IdSet(4, [1, 2]))
+    with pytest.raises(ContractError, match="non-empty"):
+        backend.l1(IdSet(3), IdSet(3, [1]))
+    with pytest.raises(ContractError, match="inside the upper bound"):
+        backend.l1(IdSet(3, [3]), IdSet(3, [1, 2]))
+
+
+def reference_algebra(sigma_rows, n, q):
+    """Common items, hull and slice straight from the attribute rows."""
+    rows = [None] + [set(r) for r in sigma_rows]
+
+    def common(x):
+        return IdSet(q, set.intersection(*(rows[v] for v in x)))
+
+    def hull(items):
+        return IdSet(n, [v for v in range(1, n + 1) if set(items) <= rows[v]])
+
+    def slice_(i):
+        return IdSet(n, [v for v in range(1, n + 1) if i == 0 or i in rows[v]])
+
+    return common, hull, slice_
+
+
+def random_plain_instance(rng):
+    n, q = rng.randint(1, 12), rng.randint(1, 9)
+    rows = [[i for i in range(1, q + 1) if rng.random() < 0.6] for _ in range(n)]
+    return Instance(n, q, rows, GraphConnectivityOracle(n)), rows
+
+
+def random_reduced_instance(rng):
+    n = rng.randint(1, 12)
+    rows = [[i for i in range(1, n + 1) if i != v] for v in range(1, n + 1)]
+    return ReducedInstance(n, GraphConnectivityOracle(n)), rows
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("make", [random_plain_instance, random_reduced_instance],
+                         ids=["instance", "reduced"])
+def test_mask_algebra_matches_public_algebra(make, seed):
+    rng = random.Random(seed)
+    inst, rows = make(rng)
+    n, q = inst.n, inst.q
+    common, hull, slice_ = reference_algebra(rows, n, q)
+    for v in range(1, n + 1):
+        assert inst._sigma_mask(v) == inst.sigma(v)._mask == IdSet(q, rows[v - 1])._mask
+    for i in range(q + 1):
+        assert inst._slice_mask(i) == inst.elements_with_item(i)._mask == slice_(i)._mask
+    for _ in range(40):
+        xm = (rng.getrandbits(n) << 1) or 2
+        x = IdSet._from_mask(n, xm)
+        assert inst._common_mask(xm) == inst.common_item_set(x)._mask == common(x)._mask
+        im = rng.getrandbits(q) << 1
+        items = IdSet._from_mask(q, im)
+        assert inst._hull_mask(im) == inst.elements_with_items(items)._mask == hull(items)._mask

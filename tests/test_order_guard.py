@@ -1,9 +1,10 @@
 """Byte-exact output past the brute-force limit of 12 vertices.
 
 The criterion-7 golden trace pins a 3-vertex path.  These digests pin the
-CLI's ``--format json`` stream on two larger inputs, so a change to the
+CLI's ``--format json`` stream on larger inputs, so a change to the
 traversal order, the parent choice or the oracles' tie-breaks shows even
-where ``--verify`` cannot follow.
+where ``--verify`` cannot follow.  The ``--stats`` counts beside them pin
+the oracle work: a change that only removes overhead keeps them exact.
 """
 
 import hashlib
@@ -29,6 +30,29 @@ def cycle_doc(n):
                                       "edges": [[v, v % n + 1] for v in range(1, n + 1)]}}
 
 
+def nested_chain_doc(seed, n, q, chains):
+    """Explicit family of nested chains: every prefix of random element orders.
+
+    Each chain keeps the prefixes from one element up to a random length of
+    at least n/2; repeated sets are kept once.  Items are held with
+    probability 0.85, so the family trees are deep.
+    """
+    rng = random.Random(seed)
+    seen, family = set(), []
+    for _ in range(chains):
+        order = rng.sample(range(1, n + 1), n)
+        chain = []
+        for v in order[: rng.randint(n // 2, n)]:
+            chain.append(v)
+            key = frozenset(chain)
+            if key not in seen:
+                seen.add(key)
+                family.append(sorted(chain))
+    sigma = [[i for i in range(1, q + 1) if rng.random() < 0.85] for _ in range(n)]
+    return {"elements": n, "items": q, "sigma": sigma,
+            "system": {"kind": "explicit", "components": family}}
+
+
 def json_stream(tmp_path, doc, *flags):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc))
@@ -49,3 +73,34 @@ def test_components_of_a_20_cycle(tmp_path):
     records, digest = json_stream(tmp_path, cycle_doc(20), "--components")
     assert records == 20 * 19 + 1
     assert digest == "79a61126b1e4c52e44a5899a1f0f075cc46b77ecd1879808cfa85d03b67307d3"
+
+
+def stats(tmp_path, doc, *flags):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["--input", str(path), "--format", "json", "--stats", *flags],
+               stdout=out, stderr=err) == 0, err.getvalue()
+    counts = dict(line.split("=") for line in err.getvalue().splitlines())
+    return {k: int(counts[k]) for k in ("l1_calls", "l2_calls", "rho_calls", "traversal_calls")}
+
+
+# Counts recorded with the digests above, on the same inputs.
+
+def test_sparse_graph_80_vertices_call_counts(tmp_path):
+    assert stats(tmp_path, sparse_graph_doc(7, 80, 8)) == {
+        "l1_calls": 5688, "l2_calls": 450, "rho_calls": 196, "traversal_calls": 194}
+
+
+def test_components_of_a_20_cycle_call_counts(tmp_path):
+    assert stats(tmp_path, cycle_doc(20), "--components") == {
+        "l1_calls": 12405, "l2_calls": 2472, "rho_calls": 381, "traversal_calls": 379}
+
+
+def test_explicit_nested_chains_30_elements(tmp_path):
+    doc = nested_chain_doc(3, 30, 12, 20)
+    records, digest = json_stream(tmp_path, doc)
+    assert records == 126
+    assert digest == "2df3ab5751a7f9d2bc5b69dd9072e6f8cb4e35301bd1410a34451544f57493f6"
+    assert stats(tmp_path, doc) == {
+        "l1_calls": 2066, "l2_calls": 618, "rho_calls": 126, "traversal_calls": 125}
