@@ -11,8 +11,6 @@ optionally pruned by a monotone volume function.
 
 from .components import ReducedInstance, build_reduction, enumerate_components
 from .core import (
-    ALWAYS_POSITIVE,
-    AlwaysPositive,
     ContractError,
     ElementSet,
     IdSet,
@@ -21,10 +19,7 @@ from .core import (
     OracleStats,
     SetSystemOracle,
     SizeAbove,
-    Snapshot,
     VolumeFunction,
-    min_item,
-    pair_lex_less,
     subset_lex_leq,
     subset_lex_less,
 )
@@ -44,8 +39,6 @@ from .oracles import ExplicitFamilyOracle, GraphConnectivityOracle
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALWAYS_POSITIVE",
-    "AlwaysPositive",
     "ContractError",
     "ElementSet",
     "EmitSink",
@@ -58,7 +51,6 @@ __all__ = [
     "ReducedInstance",
     "SetSystemOracle",
     "SizeAbove",
-    "Snapshot",
     "Solution",
     "VolumeFunction",
     "build_reduction",
@@ -69,8 +61,6 @@ __all__ = [
     "enumerate_k",
     "is_solution",
     "make_solution",
-    "min_item",
-    "pair_lex_less",
     "parent",
     "subset_lex_leq",
     "subset_lex_less",

@@ -50,6 +50,9 @@ def _load_document(path: str) -> dict:
         raise InstanceFormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer past Python's digit limit
+        raise InstanceFormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
     return doc
@@ -75,6 +78,19 @@ def _int_list(raw, where: str, low: int, high: int) -> List[int]:
     return out
 
 
+def _construct(field: str, arg: str, build, *args):
+    """Call ``build(*args)``, turning a ValueError from its input checks
+    into an InstanceFormatError.  A message that names the constructor
+    argument ``arg`` names the document field ``field`` instead."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        msg = str(exc)
+        if msg.startswith(arg):
+            msg = field + msg[len(arg):]
+        raise InstanceFormatError(msg) from exc
+
+
 def _build_oracle(doc: dict, n: int):
     system = doc.get("system")
     if not isinstance(system, dict):
@@ -85,46 +101,27 @@ def _build_oracle(doc: dict, n: int):
         if not isinstance(raw_edges, list):
             raise InstanceFormatError("system.edges: expected a list of [u, v] pairs")
         edges = []
-        seen = set()
         for idx, pair in enumerate(raw_edges):
-            got = _int_list(pair, f"system.edges[{idx}]", 1, n)
-            if len(got) != 2:
+            edge = _int_list(pair, f"system.edges[{idx}]", 1, n)
+            if len(edge) != 2:
                 raise InstanceFormatError(
                     f"system.edges[{idx}]: expected exactly two endpoints"
                 )
-            u, v = got
-            if u == v:
-                raise InstanceFormatError(f"system.edges[{idx}]: self-loop at {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InstanceFormatError(f"system.edges[{idx}]: duplicate edge {key}")
-            seen.add(key)
-            edges.append((u, v))
-        return GraphConnectivityOracle(n, edges)
+            edges.append(edge)
+        return _construct("system.edges", "edges", GraphConnectivityOracle, n, edges)
     if kind == "explicit":
         raw_family = system.get("components")
         if not isinstance(raw_family, list):
             raise InstanceFormatError(
                 "system.components: expected a list of element-id lists"
             )
-        family = []
-        seen_members = set()
-        for idx, raw in enumerate(raw_family):
-            ids = _int_list(raw, f"system.components[{idx}]", 1, n)
-            if not ids:
-                raise InstanceFormatError(f"system.components[{idx}]: empty component")
-            if len(set(ids)) != len(ids):
-                raise InstanceFormatError(
-                    f"system.components[{idx}]: repeated element id"
-                )
-            key = frozenset(ids)
-            if key in seen_members:
-                raise InstanceFormatError(
-                    f"system.components[{idx}]: duplicate component {sorted(ids)}"
-                )
-            seen_members.add(key)
-            family.append(ids)
-        return ExplicitFamilyOracle(n, family)
+        family = [
+            _int_list(raw, f"system.components[{idx}]", 1, n)
+            for idx, raw in enumerate(raw_family)
+        ]
+        return _construct(
+            "system.components", "family", ExplicitFamilyOracle, n, family
+        )
     raise InstanceFormatError(f"system.kind: expected 'graph' or 'explicit', got {kind!r}")
 
 
@@ -138,13 +135,8 @@ def parse_instance(path: str) -> Instance:
         raise InstanceFormatError("sigma: expected a list of item-id lists")
     if len(raw_sigma) != n:
         raise InstanceFormatError(f"sigma: expected {n} rows, got {len(raw_sigma)}")
-    sigma = []
-    for idx, row in enumerate(raw_sigma):
-        ids = _int_list(row, f"sigma[{idx}]", 1, q)
-        if len(set(ids)) != len(ids):
-            raise InstanceFormatError(f"sigma[{idx}]: repeated item id")
-        sigma.append(ids)
-    return Instance(n, q, sigma, _build_oracle(doc, n))
+    sigma = [_int_list(row, f"sigma[{idx}]", 1, q) for idx, row in enumerate(raw_sigma)]
+    return _construct("sigma", "sigma", Instance, n, q, sigma, _build_oracle(doc, n))
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -199,8 +191,8 @@ def _json_record(s: Solution) -> str:
 
 
 def _verify(inst: Instance, emitted: List[Solution], args, err: TextIO) -> bool:
-    # testkit (and the random module) load only for --verify and --stats,
-    # not at every start of the CLI.
+    # testkit (and the random module) load only for --verify, not at
+    # every start of the CLI.
     from . import testkit
 
     if args.components:
@@ -293,9 +285,6 @@ def _run(argv: Optional[List[str]], out: TextIO, err: TextIO) -> int:
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=err)
         return 2
-    except ValueError as exc:
-        print(f"error: {args.input}: {exc}", file=err)
-        return 2
 
     if args.k is not None and not 0 <= args.k <= inst.q:
         print(f"error: --k {args.k} outside [0, {inst.q}]", file=err)
@@ -325,14 +314,8 @@ def _run(argv: Optional[List[str]], out: TextIO, err: TextIO) -> int:
         return 2
 
     if args.stats:
-        from . import testkit
-
         for name, value in stats.as_dict().items():
             print(f"{name}={value}", file=err)
-        print(
-            f"max_interoutput_traversals={testkit.max_interoutput_traversals(stats)}",
-            file=err,
-        )
         print(f"delta_hint={inst.oracle.delta_hint()}", file=err)
 
     if args.verify:

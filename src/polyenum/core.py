@@ -3,8 +3,8 @@
 Elements live in ``[1, n]`` and items (attributes) in ``[1, q]``.  Sets of
 either kind are immutable bit-vectors, so the subset tests and
 intersections that dominate the enumeration loops are single integer
-operations.  The id 0 is reserved as a sentinel: ``min_item`` of an empty
-set is 0, and the element slice for item 0 is the whole universe.
+operations.  The id 0 is reserved as a sentinel: ``IdSet.min_id`` of an
+empty set is 0, and the element slice for item 0 is the whole universe.
 
 Everything here is immutable after construction except :class:`OracleStats`,
 which is confined to one enumeration run.  Instances, oracles and sets are
@@ -13,7 +13,6 @@ safe to share read-only across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 
@@ -154,11 +153,6 @@ ElementSet = IdSet
 ItemSet = IdSet
 
 
-def min_item(items: ItemSet) -> int:
-    """Minimum member of an item set, or the sentinel 0 when empty."""
-    return items.min_id()
-
-
 def subset_lex_less(a: IdSet, b: IdSet) -> bool:
     """Strict total order on subsets of one universe.
 
@@ -184,19 +178,6 @@ def lex_sort_key(s: IdSet) -> int:
     for i in s:
         rev |= 1 << (s.capacity - i)
     return -rev
-
-
-def pair_lex_less(inst: "Instance", x: ElementSet, y: ElementSet) -> bool:
-    """Order element sets by (common item set, element set), both lexicographic.
-
-    Both arguments must be non-empty; their common item sets are computed
-    from ``inst``.
-    """
-    ix = inst.common_item_set(x)
-    iy = inst.common_item_set(y)
-    if ix != iy:
-        return subset_lex_less(ix, iy)
-    return subset_lex_less(x, y)
 
 
 def check_l1_masks(xm: int, ym: int) -> None:
@@ -271,13 +252,6 @@ class VolumeFunction:
         raise NotImplementedError
 
 
-class AlwaysPositive(VolumeFunction):
-    """No pruning: every set is kept."""
-
-    def positive(self, elements: ElementSet) -> bool:
-        return True
-
-
 class SizeAbove(VolumeFunction):
     """Keep sets with more than ``threshold`` elements."""
 
@@ -288,27 +262,18 @@ class SizeAbove(VolumeFunction):
         return len(elements) > self.threshold
 
 
-ALWAYS_POSITIVE = AlwaysPositive()
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Counter values captured at the moment a solution was emitted."""
-
-    l1_calls: int
-    l2_calls: int
-    rho_calls: int
-    traversal_calls: int
-
-
 class OracleStats:
     """Counters for oracle and traversal activity during one run.
 
     ``traversal_calls`` counts descent invocations (one per visited tree
-    node, including the top-level call for each root).  One snapshot is
-    appended per emitted solution, which is what the delay meters read.
-    Counters only ever increase within a run; the object is not shared
-    between concurrent runs.
+    node, including the top-level call for each root).  ``outputs`` counts
+    emitted solutions, and ``max_interoutput_traversals`` is the largest
+    traversal-counter jump between two consecutive outputs, 0 until there
+    are two.  Every field is a running integer, so a run's stats take O(1)
+    memory however many solutions it emits.  A caller that needs the
+    counters at each output reads them in its sink: the enumerator updates
+    the stats before it calls the sink.  Counters only ever increase
+    within a run; the object is not shared between concurrent runs.
     """
 
     def __init__(self) -> None:
@@ -316,16 +281,17 @@ class OracleStats:
         self.l2_calls = 0
         self.rho_calls = 0
         self.traversal_calls = 0
-        self.snapshots: List[Snapshot] = []
-
-    @property
-    def outputs(self) -> int:
-        return len(self.snapshots)
+        self.outputs = 0
+        self.max_interoutput_traversals = 0
+        self._traversals_at_output = 0
 
     def record_output(self) -> None:
-        self.snapshots.append(
-            Snapshot(self.l1_calls, self.l2_calls, self.rho_calls, self.traversal_calls)
-        )
+        if self.outputs:
+            jump = self.traversal_calls - self._traversals_at_output
+            if jump > self.max_interoutput_traversals:
+                self.max_interoutput_traversals = jump
+        self._traversals_at_output = self.traversal_calls
+        self.outputs += 1
 
     def as_dict(self) -> dict:
         return {
@@ -334,6 +300,7 @@ class OracleStats:
             "rho_calls": self.rho_calls,
             "traversal_calls": self.traversal_calls,
             "outputs": self.outputs,
+            "max_interoutput_traversals": self.max_interoutput_traversals,
         }
 
 
@@ -341,9 +308,9 @@ class Instance:
     """An element universe, an item universe, per-element attributes, an oracle.
 
     ``sigma`` is given as a sequence of ``n`` iterables; row ``v - 1``
-    holds the item ids carried by element ``v``, each within ``[1, q]``.
-    Per-item element slices are precomputed so attribute queries are mask
-    intersections.
+    holds the item ids carried by element ``v``, each within ``[1, q]``
+    and none repeated.  Per-item element slices are precomputed so
+    attribute queries are mask intersections.
     """
 
     def __init__(
@@ -370,6 +337,8 @@ class Instance:
             for i in row:
                 if not 1 <= i <= q:
                     raise ValueError(f"sigma[{v - 1}]: item {i} outside [1, {q}]")
+                if m >> i & 1:
+                    raise ValueError(f"sigma[{v - 1}]: repeated item {i}")
                 m |= 1 << i
                 self._item_masks[i] |= 1 << v
             self._sigma_masks[v] = m

@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .core import (
-    ALWAYS_POSITIVE,
     ContractError,
     ElementSet,
     IdSet,
     Instance,
     ItemSet,
     OracleStats,
+    SizeAbove,
     VolumeFunction,
     check_l1_masks,
 )
@@ -95,7 +95,8 @@ class _Run:
         self.oracle = inst.oracle
         self.n = inst.n
         self.stats = stats if stats is not None else OracleStats()
-        self.rho = rho if rho is not None else ALWAYS_POSITIVE
+        # Components are non-empty, so SizeAbove(0) keeps every one.
+        self.rho = rho if rho is not None else SizeAbove(0)
         self.sink = sink
 
     def l1(self, xm: int, ym: int) -> Optional[int]:

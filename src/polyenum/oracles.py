@@ -44,31 +44,38 @@ class ExplicitFamilyOracle(SetSystemOracle):
     (:func:`subset_lex_less`), fixed once at construction.  ``l1`` is
     linear in the family size and ``l2`` at worst quadratic.  This
     backend exists to be obviously correct at desk scale, not to be fast.
+    Each member must be non-empty, list no element twice and differ from
+    every other member; the constructor rejects the first that does not.
     """
 
     def __init__(self, n: int, family: Iterable[Iterable[int]]) -> None:
         if n < 1:
             raise ValueError("need at least one element")
         self.n = n
-        members: List[ElementSet] = []
-        seen = set()
+        # The stored member behind each mask, in input order, for the
+        # public answers; it is also what catches a duplicate member.
+        members: Dict[int, ElementSet] = {}
         for idx, raw in enumerate(family):
-            c = raw if isinstance(raw, IdSet) else IdSet(n, raw)
-            if c.capacity != n:
-                raise ValueError(f"family[{idx}]: universe size {c.capacity} != {n}")
+            if isinstance(raw, IdSet):
+                if raw.capacity != n:
+                    raise ValueError(f"family[{idx}]: universe size {raw.capacity} != {n}")
+                c = raw
+            else:
+                ids = list(raw)
+                c = IdSet(n, ids)
+                if len(c) != len(ids):
+                    raise ValueError(f"family[{idx}]: repeated element")
             if not c:
                 raise ValueError(f"family[{idx}]: empty component")
-            if c in seen:
+            if c._mask in members:
                 raise ValueError(f"family[{idx}]: duplicate component {sorted(c)}")
-            seen.add(c)
-            members.append(c)
-        self.family: Tuple[ElementSet, ...] = tuple(members)
-        # The members' masks in subset order, for the scans, and the stored
-        # member behind each mask, for the public answers.
+            members[c._mask] = c
+        self.family: Tuple[ElementSet, ...] = tuple(members.values())
+        self._members = members
+        # The members' masks in subset order, for the scans.
         self._masks: Tuple[int, ...] = tuple(
-            c._mask for c in sorted(members, key=lex_sort_key)
+            c._mask for c in sorted(self.family, key=lex_sort_key)
         )
-        self._members: Dict[int, ElementSet] = {c._mask: c for c in members}
 
     def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
         # The first candidate in subset order is maximal, since a set
@@ -105,11 +112,13 @@ class ExplicitFamilyOracle(SetSystemOracle):
 class GraphConnectivityOracle(SetSystemOracle):
     """Components are the non-empty vertex sets inducing a connected subgraph.
 
-    The graph is simple and undirected, with vertices in ``[1, n]``.
-    Connectivity queries run an iterative breadth-first sweep restricted to
-    the queried vertex set, entirely on bitmasks, so no recursion depth is
-    involved however large the graph gets.  Consecutive ``l1`` queries on
-    one hull reuse the components already swept there.
+    The graph is simple and undirected, with vertices in ``[1, n]``; the
+    constructor rejects a self-loop and an edge given twice, in either
+    orientation.  Connectivity queries run an iterative breadth-first
+    sweep restricted to the queried vertex set, entirely on bitmasks, so
+    no recursion depth is involved however large the graph gets.
+    Consecutive ``l1`` queries on one hull reuse the components already
+    swept there.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
@@ -117,11 +126,13 @@ class GraphConnectivityOracle(SetSystemOracle):
             raise ValueError("need at least one vertex")
         self.n = n
         self._adj = [0] * (n + 1)
-        for u, v in edges:
+        for idx, (u, v) in enumerate(edges):
             if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u}, {v}) outside [1, {n}]")
+                raise ValueError(f"edges[{idx}]: edge ({u}, {v}) outside [1, {n}]")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise ValueError(f"edges[{idx}]: self-loop at vertex {u}")
+            if self._adj[u] >> v & 1:
+                raise ValueError(f"edges[{idx}]: duplicate edge ({u}, {v})")
             self._adj[u] |= 1 << v
             self._adj[v] |= 1 << u
         # The components of the last l1 hull found so far, disjoint masks.

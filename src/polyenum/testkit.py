@@ -105,14 +105,8 @@ def brute_force_parent(
 
 
 def max_interoutput_traversals(stats: OracleStats) -> int:
-    """Largest traversal-counter jump between consecutive emissions.
-
-    Runs with fewer than two emissions report 0 by convention.
-    """
-    snaps = stats.snapshots
-    if len(snaps) < 2:
-        return 0
-    return max(b.traversal_calls - a.traversal_calls for a, b in zip(snaps, snaps[1:]))
+    """Largest traversal-counter jump between consecutive emissions (0 below two)."""
+    return stats.max_interoutput_traversals
 
 
 @dataclass(frozen=True)

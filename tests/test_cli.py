@@ -193,6 +193,43 @@ class TestRun:
         assert not out
         assert "error" in err and "sigma[0]" in err
 
+    @pytest.mark.parametrize("mode", [[], ["--components"]], ids=["solutions", "components"])
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"elements": 3, "items": "\xff"}', b'{"elements": 1' + b"0" * 5000 + b"}"],
+        ids=["not-utf8", "int-past-digit-limit"],
+    )
+    def test_undecodable_input_exits_2(self, tmp_path, mode, content):
+        path = tmp_path / "instance.json"
+        path.write_bytes(content)
+        code, out, err = invoke(["--input", str(path), *mode])
+        assert code == 2
+        assert not out
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "system, sigma, line",
+        [
+            (
+                {"kind": "graph", "edges": [[1, 2], [2, 1]]},
+                None,
+                "error: system.edges[1]: duplicate edge (2, 1)\n",
+            ),
+            (
+                {"kind": "explicit", "components": [[1], [2, 3, 2]]},
+                None,
+                "error: system.components[1]: repeated element\n",
+            ),
+            (None, [[1], [1, 1], [2]], "error: sigma[1]: repeated item 1\n"),
+        ],
+    )
+    def test_constructor_errors_name_document_fields(self, tmp_path, system, sigma, line):
+        doc = json.loads(json.dumps(P3_DOC))
+        doc["system"] = system or doc["system"]
+        doc["sigma"] = sigma or doc["sigma"]
+        code, out, err = invoke(["--input", write_doc(tmp_path, doc)])
+        assert (code, out, err) == (2, "", line)
+
     def test_unknown_flag_exits_2(self, tmp_path):
         path = write_doc(tmp_path, P3_DOC)
         assert run(["--input", path, "--frobnicate"], stdout=io.StringIO()) == 2

@@ -9,8 +9,6 @@ from polyenum import (
     Instance,
     GraphConnectivityOracle,
     OracleStats,
-    min_item,
-    pair_lex_less,
     subset_lex_leq,
     subset_lex_less,
 )
@@ -71,10 +69,10 @@ class TestIdSet:
         assert IdSet(4, [3, 2]).min_id() == 2
 
 
-def test_min_item_examples():
-    assert min_item(IdSet(9, [3, 5])) == 3
-    assert min_item(IdSet.empty(9)) == 0
-    assert min_item(IdSet.full(9)) == 1
+def test_min_id_examples():
+    assert IdSet(9, [3, 5]).min_id() == 3
+    assert IdSet.empty(9).min_id() == 0
+    assert IdSet.full(9).min_id() == 1
 
 
 def test_subset_lex_less_examples():
@@ -135,11 +133,6 @@ class TestInstanceQueries:
         with pytest.raises(ValueError):
             p3.elements_with_item(3)
 
-    def test_pair_lex_less_examples(self, p3):
-        assert pair_lex_less(p3, elems(p3, 2), elems(p3, 1, 2))
-        assert not pair_lex_less(p3, elems(p3, 2), elems(p3, 2))
-        assert pair_lex_less(p3, elems(p3, 1, 2), elems(p3, 2, 3))
-
     def test_validation(self):
         oracle = GraphConnectivityOracle(2, [(1, 2)])
         with pytest.raises(ValueError):
@@ -150,6 +143,11 @@ class TestInstanceQueries:
             Instance(2, 2, [[1]], oracle)
         with pytest.raises(ValueError):
             Instance(2, 2, [[1], [3]], oracle)
+
+    def test_repeated_item_in_a_row_rejected(self):
+        oracle = GraphConnectivityOracle(3, [(1, 2)])
+        with pytest.raises(ValueError, match=r"sigma\[1\]: repeated item 2"):
+            Instance(3, 2, [[1], [2, 1, 2], []], oracle)
 
 
 def random_small_instance(seed):
@@ -182,7 +180,7 @@ def test_attribute_queries_are_antitone_and_adjoint(seed):
             )
 
 
-def test_oracle_stats_snapshots():
+def test_oracle_stats_counters():
     st = OracleStats()
     st.l1_calls += 2
     st.record_output()
@@ -190,7 +188,13 @@ def test_oracle_stats_snapshots():
     st.traversal_calls += 3
     st.record_output()
     assert st.outputs == 2
-    assert st.snapshots[0].l1_calls == 2
-    assert st.snapshots[0].traversal_calls == 0
-    assert st.snapshots[1].traversal_calls == 3
-    assert st.as_dict()["outputs"] == 2
+    assert st.max_interoutput_traversals == 3
+    # --stats prints these lines in this order
+    assert list(st.as_dict().items()) == [
+        ("l1_calls", 2),
+        ("l2_calls", 1),
+        ("rho_calls", 0),
+        ("traversal_calls", 3),
+        ("outputs", 2),
+        ("max_interoutput_traversals", 3),
+    ]

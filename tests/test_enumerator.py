@@ -1,10 +1,13 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from polyenum import (
     ContractError,
     ExplicitFamilyOracle,
+    GraphConnectivityOracle,
     IdSet,
     Instance,
     OracleStats,
@@ -15,6 +18,7 @@ from polyenum import (
     children,
     descendants,
     enumerate_all,
+    enumerate_components,
     enumerate_k,
     is_solution,
     make_solution,
@@ -376,9 +380,7 @@ class TestStackMatchesRecursion:
 
     @staticmethod
     def reference_run(inst, rho=None):
-        from polyenum.core import ALWAYS_POSITIVE
-
-        rho = rho or ALWAYS_POSITIVE
+        rho = rho or SizeAbove(0)
         out = []
 
         def descend(t, k, d):
@@ -439,8 +441,33 @@ class TestDelayMeters:
 
     def test_p3_group1_counters(self, p3):
         stats = OracleStats()
-        out = []
-        enumerate_k(p3, 1, sink=out.append, stats=stats)
+        traversals = []  # the counter as each output reaches the sink
+        enumerate_k(p3, 1, sink=lambda s: traversals.append(stats.traversal_calls), stats=stats)
         assert stats.outputs == 2
         assert max_interoutput_traversals(stats) <= 3
-        assert stats.snapshots[0].traversal_calls == 0  # root emitted first
+        assert traversals[0] == 0  # root emitted first
+
+    @staticmethod
+    def stats_retained_bytes(m):
+        """Bytes still allocated after components mode on an m-path, stats kept."""
+        edges = [(i, i + 1) for i in range(1, m)]
+        enumerate_components(GraphConnectivityOracle(m, edges), m)  # warm-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stats = OracleStats()
+            enumerate_components(GraphConnectivityOracle(m, edges), m, stats=stats)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert stats.outputs == m * (m + 1) // 2
+        return retained
+
+    def test_stats_memory_does_not_grow_with_outputs(self):
+        # 55 against 210 outputs: a per-output record of even 8 bytes would
+        # put 1.2 KB between the two.  (Tracing slows the run about 30-fold,
+        # which keeps the path short.)
+        small, large = self.stats_retained_bytes(10), self.stats_retained_bytes(20)
+        assert large - small < 1024, (small, large)

@@ -53,6 +53,10 @@ class TestExplicitFamily:
         with pytest.raises(ValueError):
             ExplicitFamilyOracle(3, [[4]])
 
+    def test_repeated_element_in_a_member_rejected(self):
+        with pytest.raises(ValueError, match=r"family\[1\]: repeated element"):
+            ExplicitFamilyOracle(3, [[1], [2, 3, 2]])
+
     def test_delta_hint(self):
         assert ExplicitFamilyOracle(3, [[1], [2]]).delta_hint() == 2
 
@@ -78,6 +82,11 @@ class TestGraphConnectivity:
             GraphConnectivityOracle(3, [(1, 4)])
         with pytest.raises(ValueError):
             GraphConnectivityOracle(0)
+
+    @pytest.mark.parametrize("again", [(1, 2), (2, 1)])
+    def test_duplicate_edge_rejected(self, again):
+        with pytest.raises(ValueError, match=r"edges\[2\]: duplicate edge"):
+            GraphConnectivityOracle(3, [(1, 2), (2, 3), again])
 
     def test_adjacency_view_is_sorted_and_symmetric(self):
         g = GraphConnectivityOracle(4, [(3, 1), (2, 3)])

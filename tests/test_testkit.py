@@ -73,14 +73,15 @@ def test_brute_force_parent_rejects_roots(p3):
 
 def test_max_interoutput_traversals_conventions():
     st = OracleStats()
-    assert max_interoutput_traversals(st) == 0
+    assert st.max_interoutput_traversals == max_interoutput_traversals(st) == 0
+    st.traversal_calls = 5  # descents before the first output open no window
     st.record_output()
-    assert max_interoutput_traversals(st) == 0
-    st.traversal_calls = 2
+    assert st.max_interoutput_traversals == max_interoutput_traversals(st) == 0
+    st.traversal_calls = 7
     st.record_output()
-    st.traversal_calls = 3
+    st.traversal_calls = 8
     st.record_output()
-    assert max_interoutput_traversals(st) == 2
+    assert st.max_interoutput_traversals == max_interoutput_traversals(st) == 2
 
 
 class TestGenerators:
