@@ -9,13 +9,11 @@ components) with delay polynomial in the instance size and oracle cost,
 optionally pruned by a monotone volume function.
 """
 
-from .components import ReducedInstance, build_reduction, enumerate_components
+from .components import ReducedInstance, enumerate_components
 from .core import (
     ContractError,
-    ElementSet,
     IdSet,
     Instance,
-    ItemSet,
     OracleStats,
     SetSystemOracle,
     SizeAbove,
@@ -40,20 +38,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContractError",
-    "ElementSet",
     "EmitSink",
     "ExplicitFamilyOracle",
     "GraphConnectivityOracle",
     "IdSet",
     "Instance",
-    "ItemSet",
     "OracleStats",
     "ReducedInstance",
     "SetSystemOracle",
     "SizeAbove",
     "Solution",
     "VolumeFunction",
-    "build_reduction",
     "children",
     "descendants",
     "enumerate_all",

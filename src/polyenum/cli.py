@@ -30,7 +30,7 @@ import os
 import sys
 from typing import List, Optional, TextIO
 
-from .components import build_reduction
+from .components import ReducedInstance
 from .core import ContractError, Instance, OracleStats, SizeAbove
 from .enumerator import Solution, enumerate_all, enumerate_k
 from .oracles import ExplicitFamilyOracle, GraphConnectivityOracle
@@ -53,6 +53,8 @@ def _load_document(path: str) -> dict:
     except ValueError as exc:
         # bytes that are not UTF-8, or an integer past Python's digit limit
         raise InstanceFormatError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
     return doc
@@ -279,7 +281,7 @@ def _run(argv: Optional[List[str]], out: TextIO, err: TextIO) -> int:
                     "warning: sigma in the input is ignored in --components mode",
                     file=err,
                 )
-            inst = build_reduction(n, _build_oracle(doc, n))
+            inst = ReducedInstance(n, _build_oracle(doc, n))
         else:
             inst = parse_instance(args.input)
     except InstanceFormatError as exc:

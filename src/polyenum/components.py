@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Instance, OracleStats, SetSystemOracle, VolumeFunction
+from .core import Instance, OracleStats, SetSystemOracle, VolumeFunction, check_universe
 from .enumerator import EmitSink, enumerate_all
 
 
@@ -24,8 +24,7 @@ class ReducedInstance(Instance):
     """
 
     def __init__(self, n: int, oracle: SetSystemOracle) -> None:
-        if n < 1:
-            raise ValueError("an instance needs at least one element")
+        check_universe(n, oracle)
         # Instance.__init__ is skipped on purpose: it would build the
         # attribute table this class exists to avoid.
         self.n = n
@@ -50,11 +49,6 @@ class ReducedInstance(Instance):
         return self._full & ~items
 
 
-def build_reduction(n: int, oracle: SetSystemOracle) -> Instance:
-    """Instance over ``[1, n]`` in which every component is a solution."""
-    return ReducedInstance(n, oracle)
-
-
 def enumerate_components(
     oracle: SetSystemOracle,
     n: int,
@@ -63,4 +57,4 @@ def enumerate_components(
     stats: Optional[OracleStats] = None,
 ) -> None:
     """Emit every kept component of the system, each exactly once."""
-    enumerate_all(build_reduction(n, oracle), rho=rho, sink=sink, stats=stats)
+    enumerate_all(ReducedInstance(n, oracle), rho=rho, sink=sink, stats=stats)

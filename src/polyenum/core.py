@@ -49,10 +49,6 @@ class IdSet:
         return s
 
     @classmethod
-    def empty(cls, capacity: int) -> "IdSet":
-        return cls._from_mask(capacity, 0)
-
-    @classmethod
     def full(cls, capacity: int) -> "IdSet":
         return cls._from_mask(capacity, (1 << (capacity + 1)) - 2)
 
@@ -61,21 +57,6 @@ class IdSet:
             raise ValueError(
                 f"mixed universes: capacity {self.capacity} vs {other.capacity}"
             )
-
-    def add(self, i: int) -> "IdSet":
-        """Return a new set with ``i`` included."""
-        if not 1 <= i <= self.capacity:
-            raise ValueError(f"id {i} outside [1, {self.capacity}]")
-        return IdSet._from_mask(self.capacity, self._mask | (1 << i))
-
-    def remove(self, i: int) -> "IdSet":
-        """Return a new set with ``i`` excluded (present or not)."""
-        return IdSet._from_mask(self.capacity, self._mask & ~(1 << i))
-
-    def complement(self) -> "IdSet":
-        """Return ``[1, capacity]`` minus this set."""
-        full = (1 << (self.capacity + 1)) - 2
-        return IdSet._from_mask(self.capacity, full & ~self._mask)
 
     def min_id(self) -> int:
         """Smallest member, or the sentinel 0 when the set is empty."""
@@ -111,10 +92,6 @@ class IdSet:
         self._require_same_universe(other)
         return IdSet._from_mask(self.capacity, self._mask & ~other._mask)
 
-    def __xor__(self, other: "IdSet") -> "IdSet":
-        self._require_same_universe(other)
-        return IdSet._from_mask(self.capacity, self._mask ^ other._mask)
-
     def issubset(self, other: "IdSet") -> bool:
         self._require_same_universe(other)
         return self._mask & ~other._mask == 0
@@ -128,12 +105,6 @@ class IdSet:
     def __lt__(self, other: "IdSet") -> bool:
         return self.issubset(other) and self._mask != other._mask
 
-    def __ge__(self, other: "IdSet") -> bool:
-        return other.issubset(self)
-
-    def __gt__(self, other: "IdSet") -> bool:
-        return other < self
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IdSet):
             return NotImplemented
@@ -144,13 +115,6 @@ class IdSet:
 
     def __repr__(self) -> str:
         return f"IdSet({self.capacity}, {list(self)})"
-
-
-# The two flavours used throughout: element sets over [1, n] and item sets
-# over [1, q].  They share the representation; the aliases keep signatures
-# readable.
-ElementSet = IdSet
-ItemSet = IdSet
 
 
 def subset_lex_less(a: IdSet, b: IdSet) -> bool:
@@ -220,10 +184,10 @@ class SetSystemOracle:
     :class:`ContractError`.  The shipped backends answer on masks directly.
     """
 
-    def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
+    def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
         raise NotImplementedError
 
-    def l2(self, y: ElementSet) -> List[ElementSet]:
+    def l2(self, y: IdSet) -> List[IdSet]:
         raise NotImplementedError
 
     def delta_hint(self) -> int:
@@ -248,7 +212,7 @@ class VolumeFunction:
     whole subtrees, so a non-monotone implementation silently loses output.
     """
 
-    def positive(self, elements: ElementSet) -> bool:
+    def positive(self, elements: IdSet) -> bool:
         raise NotImplementedError
 
 
@@ -258,7 +222,7 @@ class SizeAbove(VolumeFunction):
     def __init__(self, threshold: int) -> None:
         self.threshold = threshold
 
-    def positive(self, elements: ElementSet) -> bool:
+    def positive(self, elements: IdSet) -> bool:
         return len(elements) > self.threshold
 
 
@@ -304,13 +268,23 @@ class OracleStats:
         }
 
 
+def check_universe(n: int, oracle: SetSystemOracle) -> None:
+    """An instance's ``[1, n]``: non-empty, and the oracle's own if it has an ``n``."""
+    if n < 1:
+        raise ValueError("an instance needs at least one element")
+    m = getattr(oracle, "n", n)
+    if m != n:
+        raise ValueError(f"oracle over [1, {m}] given to an instance over [1, {n}]")
+
+
 class Instance:
     """An element universe, an item universe, per-element attributes, an oracle.
 
     ``sigma`` is given as a sequence of ``n`` iterables; row ``v - 1``
     holds the item ids carried by element ``v``, each within ``[1, q]``
     and none repeated.  Per-item element slices are precomputed so
-    attribute queries are mask intersections.
+    attribute queries are mask intersections.  An oracle with an ``n``
+    attribute, as both shipped backends have, must be over ``[1, n]`` too.
     """
 
     def __init__(
@@ -320,8 +294,7 @@ class Instance:
         sigma: Sequence[Iterable[int]],
         oracle: SetSystemOracle,
     ) -> None:
-        if n < 1:
-            raise ValueError("an instance needs at least one element")
+        check_universe(n, oracle)
         if q < 1:
             raise ValueError("an instance needs at least one item")
         if len(sigma) != n:
@@ -342,17 +315,6 @@ class Instance:
                 m |= 1 << i
                 self._item_masks[i] |= 1 << v
             self._sigma_masks[v] = m
-
-    @property
-    def elements(self) -> ElementSet:
-        """The full element universe ``[1, n]``."""
-        return IdSet.full(self.n)
-
-    def element_set(self, ids: Iterable[int] = ()) -> ElementSet:
-        return IdSet(self.n, ids)
-
-    def item_set(self, ids: Iterable[int] = ()) -> ItemSet:
-        return IdSet(self.q, ids)
 
     # The attribute algebra on masks, which the enumerator calls directly.
     # Arguments are trusted: the public methods below check them.
@@ -386,13 +348,13 @@ class Instance:
             items ^= lsb
         return m
 
-    def sigma(self, v: int) -> ItemSet:
+    def sigma(self, v: int) -> IdSet:
         """Attribute set of element ``v``."""
         if not 1 <= v <= self.n:
             raise ValueError(f"element {v} outside [1, {self.n}]")
         return IdSet._from_mask(self.q, self._sigma_mask(v))
 
-    def common_item_set(self, x: ElementSet) -> ItemSet:
+    def common_item_set(self, x: IdSet) -> IdSet:
         """Items carried by every element of ``x``.
 
         Rejects empty ``x``: the common attribute set of nothing is
@@ -405,13 +367,13 @@ class Instance:
             raise ValueError("element set from a different universe")
         return IdSet._from_mask(self.q, self._common_mask(x._mask))
 
-    def elements_with_item(self, i: int) -> ElementSet:
+    def elements_with_item(self, i: int) -> IdSet:
         """Elements whose attributes include item ``i``; item 0 means all."""
         if not 0 <= i <= self.q:
             raise ValueError(f"item {i} outside [0, {self.q}]")
         return IdSet._from_mask(self.n, self._slice_mask(i))
 
-    def elements_with_items(self, items: ItemSet) -> ElementSet:
+    def elements_with_items(self, items: IdSet) -> IdSet:
         """Elements whose attributes include every member of ``items``.
 
         An empty ``items`` selects the whole universe.

@@ -24,15 +24,12 @@ can proceed in parallel with separate sinks and stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .core import (
     ContractError,
-    ElementSet,
     IdSet,
     Instance,
-    ItemSet,
     OracleStats,
     SizeAbove,
     VolumeFunction,
@@ -40,17 +37,16 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """An emitted solution: its elements, their common items, and the group id.
 
     ``items`` is the common item set of ``elements`` and ``k`` its minimum
-    member (0 when empty).  Instances are hashable, so collections of
-    solutions compare structurally in tests.
+    member (0 when empty).  Solutions are immutable and hashable, so
+    collections of them compare structurally in tests.
     """
 
-    elements: ElementSet
-    items: ItemSet
+    elements: IdSet
+    items: IdSet
     k: int
 
 
@@ -59,7 +55,7 @@ class Solution:
 EmitSink = Callable[[Solution], None]
 
 
-def make_solution(inst: Instance, elements: ElementSet) -> Solution:
+def make_solution(inst: Instance, elements: IdSet) -> Solution:
     """Bundle an element set with its common items and group id.
 
     Does not check that ``elements`` is a component, let alone a solution.
@@ -108,7 +104,7 @@ class _Run:
         self.stats.l2_calls += 1
         return self.oracle._l2_masks(self.n, ym)
 
-    def rho_positive(self, elements: ElementSet) -> bool:
+    def rho_positive(self, elements: IdSet) -> bool:
         self.stats.rho_calls += 1
         return self.rho.positive(elements)
 
@@ -128,7 +124,7 @@ class _Run:
         return self.l1(cm, self.inst._hull_mask(im)) == cm
 
     def parent(
-        self, s: Solution, target: Optional[ElementSet] = None
+        self, s: Solution, target: Optional[IdSet] = None
     ) -> Union[Solution, bool]:
         """The parent of ``s``, or with ``target`` whether its elements are ``target``."""
         sm, sim = s.elements._mask, s.items._mask
@@ -262,7 +258,7 @@ class _Run:
 
 
 def is_solution(
-    inst: Instance, component: ElementSet, stats: Optional[OracleStats] = None
+    inst: Instance, component: IdSet, stats: Optional[OracleStats] = None
 ) -> bool:
     """Test whether a component is a solution (one l1 probe).
 
@@ -285,24 +281,10 @@ def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> 
 
 
 def children(
-    inst: Instance,
-    t: Solution,
-    k: int,
-    sink: Optional[EmitSink] = None,
-    stats: Optional[OracleStats] = None,
+    inst: Instance, t: Solution, k: int, stats: Optional[OracleStats] = None
 ) -> List[Solution]:
-    """Generate all children of ``t`` in its group ``k``, in traversal order.
-
-    Each child is produced exactly once.  Children are returned as a list
-    and, when a sink is given, streamed to it as they are found.
-    """
-    run = _Run(inst, stats)
-    out: List[Solution] = []
-    for s in run.child_candidates(t, k):
-        out.append(s)
-        if sink is not None:
-            sink(s)
-    return out
+    """All children of ``t`` in its group ``k``, each once, in traversal order."""
+    return list(_Run(inst, stats).child_candidates(t, k))
 
 
 def descendants(

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import ElementSet, IdSet, SetSystemOracle, check_l1_masks, lex_sort_key
+from .core import IdSet, SetSystemOracle, check_l1_masks, lex_sort_key
 
 
-def _mask_over(n: int, s: ElementSet) -> int:
+def _mask_over(n: int, s: IdSet) -> int:
     if s.capacity != n:
         raise ValueError(
             f"element set over [1, {s.capacity}] queried on a backend over [1, {n}]"
@@ -30,7 +30,7 @@ def _mask_over(n: int, s: ElementSet) -> int:
     return s._mask
 
 
-def _l1_query(n: int, x: ElementSet, y: ElementSet) -> Tuple[int, int]:
+def _l1_query(n: int, x: IdSet, y: IdSet) -> Tuple[int, int]:
     """The masks of a public ``l1`` query, checked as ``_Run.l1`` checks its own."""
     xm, ym = _mask_over(n, x), _mask_over(n, y)
     check_l1_masks(xm, ym)
@@ -54,7 +54,7 @@ class ExplicitFamilyOracle(SetSystemOracle):
         self.n = n
         # The stored member behind each mask, in input order, for the
         # public answers; it is also what catches a duplicate member.
-        members: Dict[int, ElementSet] = {}
+        members: Dict[int, IdSet] = {}
         for idx, raw in enumerate(family):
             if isinstance(raw, IdSet):
                 if raw.capacity != n:
@@ -70,7 +70,7 @@ class ExplicitFamilyOracle(SetSystemOracle):
             if c._mask in members:
                 raise ValueError(f"family[{idx}]: duplicate component {sorted(c)}")
             members[c._mask] = c
-        self.family: Tuple[ElementSet, ...] = tuple(members.values())
+        self.family: Tuple[IdSet, ...] = tuple(members.values())
         self._members = members
         # The members' masks in subset order, for the scans.
         self._masks: Tuple[int, ...] = tuple(
@@ -98,11 +98,11 @@ class ExplicitFamilyOracle(SetSystemOracle):
             kept.append(m)
         return kept
 
-    def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
+    def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
         m = self._l1_mask(self.n, *_l1_query(self.n, x, y))
         return None if m is None else self._members[m]
 
-    def l2(self, y: ElementSet) -> List[ElementSet]:
+    def l2(self, y: IdSet) -> List[IdSet]:
         return [self._members[m] for m in self._l2_masks(self.n, _mask_over(self.n, y))]
 
     def delta_hint(self) -> int:
@@ -190,11 +190,11 @@ class GraphConnectivityOracle(SetSystemOracle):
         # disjoint, so this is already sorted by subset_lex_less.
         return comps
 
-    def l1(self, x: ElementSet, y: ElementSet) -> Optional[ElementSet]:
+    def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
         comp = self._l1_mask(self.n, *_l1_query(self.n, x, y))
         return None if comp is None else IdSet._from_mask(self.n, comp)
 
-    def l2(self, y: ElementSet) -> List[ElementSet]:
+    def l2(self, y: IdSet) -> List[IdSet]:
         return [
             IdSet._from_mask(self.n, c)
             for c in self._l2_masks(self.n, _mask_over(self.n, y))

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .core import ContractError, ElementSet, IdSet, Instance, OracleStats, lex_sort_key, subset_lex_less
+from .core import ContractError, IdSet, Instance, OracleStats, lex_sort_key, subset_lex_less
 from .enumerator import Solution
 from .oracles import ExplicitFamilyOracle, GraphConnectivityOracle
 
@@ -35,7 +35,7 @@ def _mask_connected(adj: List[int], mask: int) -> bool:
     return comp == mask
 
 
-def materialize_components(oracle, n: int) -> List[ElementSet]:
+def materialize_components(oracle, n: int) -> List[IdSet]:
     """Every component of the backend, listed outright.
 
     For a graph backend this walks all non-empty vertex subsets and keeps

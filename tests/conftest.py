@@ -1,6 +1,6 @@
 import pytest
 
-from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle, Instance
+from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle, IdSet, Instance
 
 P3_SIGMA = [[1], [1, 2], [2]]
 
@@ -20,8 +20,8 @@ def p3_explicit():
 
 
 def elems(inst, *ids):
-    return inst.element_set(ids)
+    return IdSet(inst.n, ids)
 
 
 def items(inst, *ids):
-    return inst.item_set(ids)
+    return IdSet(inst.q, ids)

@@ -196,8 +196,12 @@ class TestRun:
     @pytest.mark.parametrize("mode", [[], ["--components"]], ids=["solutions", "components"])
     @pytest.mark.parametrize(
         "content",
-        [b'{"elements": 3, "items": "\xff"}', b'{"elements": 1' + b"0" * 5000 + b"}"],
-        ids=["not-utf8", "int-past-digit-limit"],
+        [
+            b'{"elements": 3, "items": "\xff"}',
+            b'{"elements": 1' + b"0" * 5000 + b"}",
+            b'{"elements": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+        ],
+        ids=["not-utf8", "int-past-digit-limit", "nested-too-deeply"],
     )
     def test_undecodable_input_exits_2(self, tmp_path, mode, content):
         path = tmp_path / "instance.json"
@@ -307,3 +311,21 @@ class TestInterruptedOutput:
         assert first["elements"] == list(range(1, n + 1))
         assert proc.returncode == 141
         assert err == b""
+
+
+def test_cli_start_skips_dataclasses_and_testkit():
+    # Every CLI start pays for what importing polyenum.cli loads: dataclasses
+    # pulls in inspect and ast, and testkit is needed only under --verify.
+    src = str(Path(polyenum.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import polyenum.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    loaded = proc.stdout.split()
+    assert "polyenum.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert "polyenum.testkit" not in loaded

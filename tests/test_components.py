@@ -2,10 +2,11 @@ import pytest
 
 from polyenum import (
     ContractError,
+    ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
+    ReducedInstance,
     SizeAbove,
-    build_reduction,
     enumerate_components,
     is_solution,
 )
@@ -24,35 +25,48 @@ def collect_components(oracle, n, rho=None):
 
 class TestReduction:
     def test_attribute_rows_are_complements(self):
-        inst = build_reduction(3, path_oracle(3))
+        inst = ReducedInstance(3, path_oracle(3))
         assert inst.q == 3
         assert inst.sigma(1) == IdSet(3, [2, 3])
         assert inst.sigma(2) == IdSet(3, [1, 3])
         assert inst.sigma(3) == IdSet(3, [1, 2])
 
     def test_single_element_universe(self):
-        inst = build_reduction(1, GraphConnectivityOracle(1))
-        assert inst.sigma(1) == IdSet.empty(1)
+        inst = ReducedInstance(1, GraphConnectivityOracle(1))
+        assert inst.sigma(1) == IdSet(1)
 
     def test_common_items_complement_the_elements(self):
-        inst = build_reduction(3, path_oracle(3))
+        inst = ReducedInstance(3, path_oracle(3))
         assert inst.common_item_set(IdSet(3, [1, 3])) == IdSet(3, [2])
         with pytest.raises(ContractError):
-            inst.common_item_set(IdSet.empty(3))
+            inst.common_item_set(IdSet(3))
 
     def test_slices_complement_the_items(self):
-        inst = build_reduction(4, path_oracle(4))
+        inst = ReducedInstance(4, path_oracle(4))
         assert inst.elements_with_item(0) == IdSet.full(4)
         assert inst.elements_with_item(2) == IdSet(4, [1, 3, 4])
         assert inst.elements_with_items(IdSet(4, [1, 4])) == IdSet(4, [2, 3])
-        assert inst.elements_with_items(IdSet.empty(4)) == IdSet.full(4)
+        assert inst.elements_with_items(IdSet(4)) == IdSet.full(4)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_every_component_is_a_solution(self, seed):
         base = random_instance(RandomSpec(kind="graph", n_range=(1, 7), seed=60 + seed))
-        inst = build_reduction(base.n, base.oracle)
+        inst = ReducedInstance(base.n, base.oracle)
         for c in materialize_components(base.oracle, base.n):
             assert is_solution(inst, c)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize(
+        "oracle",
+        [path_oracle(3), ExplicitFamilyOracle(3, [[1], [1, 2]])],
+        ids=["graph", "explicit"],
+    )
+    def test_backend_for_another_universe_rejected(self, oracle, n):
+        sizes = rf"oracle over \[1, 3\] .* over \[1, {n}\]"
+        with pytest.raises(ValueError, match=sizes):
+            ReducedInstance(n, oracle)
+        with pytest.raises(ValueError, match=sizes):
+            enumerate_components(oracle, n, sink=lambda s: None)
 
 
 class TestEnumerateComponents:

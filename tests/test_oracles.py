@@ -152,7 +152,7 @@ def test_graph_l2_partitions_query(seed):
     for _ in range(30):
         y = IdSet._from_mask(n, rng.getrandbits(n) << 1)
         comps = g.l2(y)
-        union = IdSet.empty(n)
+        union = IdSet(n)
         total = 0
         for c in comps:
             assert c <= y

@@ -6,7 +6,7 @@ from polyenum import (
     GraphConnectivityOracle,
     Instance,
     OracleStats,
-    build_reduction,
+    ReducedInstance,
     make_solution,
 )
 from polyenum.testkit import (
@@ -55,7 +55,7 @@ def test_brute_force_solutions_single_component():
 
 
 def test_brute_force_solutions_on_reduction_yields_the_family(p3):
-    inst = build_reduction(3, p3.oracle)
+    inst = ReducedInstance(3, p3.oracle)
     got = {s.elements for s in brute_force_solutions(inst)}
     assert got == set(materialize_components(p3.oracle, 3))
 
