@@ -9,13 +9,13 @@ roots are the maximal components of the slice of elements carrying item
 least among its minimal strict superset solutions in the same group.
 
 The traversal walks each tree from its root, regenerating children on the
-fly through the oracle, and interleaves output with descent: a child found
-at odd depth is emitted before its subtree and one found at even depth
-after it.  That alternation bounds how many tree nodes can be visited
-between two consecutive outputs, which is what makes the delay (rather
-than just the total time) polynomial.  A volume function prunes a child
-and its entire subtree at once; since descendants are subsets of the
-child, monotonicity makes the pruning lossless.
+fly through the oracle, and interleaves output with descent: a root's
+children are emitted after their subtrees, its grandchildren before
+theirs, and so on by generation.  That alternation bounds how many tree
+nodes can be visited between two consecutive outputs, which is what makes
+the delay (rather than just the total time) polynomial.  A volume
+function prunes a child and its entire subtree at once; since descendants
+are subsets of the child, monotonicity makes the pruning lossless.
 
 Each run is strictly sequential: the emission order and the delay
 accounting depend on it.  Distinct runs over the same (immutable) instance
@@ -59,14 +59,16 @@ def make_solution(inst: Instance, elements: IdSet) -> Solution:
     """Bundle an element set with its common items and group id.
 
     Does not check that ``elements`` is a component, let alone a solution.
+    :func:`parent`, :func:`children` and :func:`descendants` take only the
+    records it builds, and raise :class:`ContractError` on any other.
     """
     items = inst.common_item_set(elements)
     return Solution(elements, items, items.min_id())
 
 
-def _min_id(m: int) -> int:
-    """Smallest id in the mask ``m``, or the sentinel 0 when it is empty."""
-    return (m & -m).bit_length() - 1 if m else 0
+def _check_record(inst: Instance, t: Solution) -> None:
+    if make_solution(inst, t.elements) != t:
+        raise ContractError(f"{t!r} differs from make_solution(inst, t.elements)")
 
 
 class _Run:
@@ -113,8 +115,9 @@ class _Run:
         if self.sink is not None:
             self.sink(s)
 
-    def solution(self, cm: int, im: int, k: int) -> Solution:
-        return Solution(IdSet._from_mask(self.n, cm), IdSet._from_mask(self.inst.q, im), k)
+    def solution(self, cm: int, im: int) -> Solution:
+        items = IdSet._from_mask(self.inst.q, im)
+        return Solution(IdSet._from_mask(self.n, cm), items, items.min_id())
 
     def is_solution(self, cm: int, im: int) -> bool:
         """Whether the component ``cm``, whose common items are ``im``, is a solution."""
@@ -122,16 +125,6 @@ class _Run:
         # elements carrying all of its common items: the single l1 probe
         # below answers exactly that.
         return self.l1(cm, self.inst._hull_mask(im)) == cm
-
-    def parent(
-        self, s: Solution, target: Optional[IdSet] = None
-    ) -> Union[Solution, bool]:
-        """The parent of ``s``, or with ``target`` whether its elements are ``target``."""
-        sm, sim = s.elements._mask, s.items._mask
-        if target is not None:
-            return self._parent(sm, sim, s.k, target._mask)
-        grown, items = self._parent(sm, sim, s.k)
-        return self.solution(grown, items, s.k)
 
     def _parent(
         self, sm: int, sim: int, k: int, target: Optional[int] = None
@@ -193,10 +186,10 @@ class _Run:
             "group (or the oracle backend is inconsistent)"
         )
 
-    def child_candidates(self, t: Solution, k: int) -> Iterator[Solution]:
+    def child_candidates(self, t: Solution) -> Iterator[Solution]:
         """Yield the children of ``t`` in traversal order.
 
-        For each item ``j`` above ``k`` that ``t`` does not share, the
+        For each item ``j`` above ``k = t.k`` that ``t`` does not share, the
         candidates are the maximal components of ``t`` restricted to the
         ``j``-carrying elements.  A candidate is a child when its group is
         ``k``, when ``j`` is the smallest new item it gains over ``t``
@@ -205,7 +198,7 @@ class _Run:
         run cheapest first; the parent recomputation dominates.
         """
         inst = self.inst
-        tm, tim = t.elements._mask, t.items._mask
+        tm, tim, k = t.elements._mask, t.items._mask, t.k
         kbit = 1 << k  # k >= 1: only inner groups have children
         for j in range(k + 1, inst.q + 1):
             jbit = 1 << j
@@ -225,36 +218,33 @@ class _Run:
                     continue
                 if not self._parent(cm, im, k, tm):
                     continue
-                yield self.solution(cm, im, k)
+                yield self.solution(cm, im)
 
-    def descend(self, t: Solution, k: int, depth: int) -> None:
-        """Emit every kept descendant of ``t``, stack-based.
+    def descend(self, root: Solution) -> None:
+        """Emit every kept descendant of ``root``, stack-based.
 
         Mirrors the recursive formulation exactly (same emission order,
-        same counter timing) while letting the depth reach the number of
-        elements without touching the interpreter stack.  Each frame holds
-        a solution, its depth, the lazy candidate iterator, and the
-        solution to emit when the frame finishes, if any.
+        same counter timing) on an explicit stack, which fits tree paths of
+        any length.  Each frame holds a node's lazy candidate iterator and
+        the solution to emit when the frame finishes, if any; the top
+        frame's children are ``len(stack)`` generations below the root.
         """
         self.stats.traversal_calls += 1
-        stack: List[tuple] = [(t, depth, self.child_candidates(t, k), None)]
+        stack: List[tuple] = [(self.child_candidates(root), None)]
         while stack:
-            _, d, candidates, _ = stack[-1]
-            child = next(candidates, None)
+            child = next(stack[-1][0], None)
             if child is None:
-                _, _, _, emit_on_pop = stack.pop()
+                _, emit_on_pop = stack.pop()
                 if emit_on_pop is not None:
                     self.emit(emit_on_pop)
                 continue
             if not self.rho_positive(child.elements):
                 continue  # prunes the whole subtree below child
-            if d % 2 == 1:
+            before = len(stack) % 2 == 0  # even generations go first
+            if before:
                 self.emit(child)
-                emit_on_pop = None
-            else:
-                emit_on_pop = child
             self.stats.traversal_calls += 1
-            stack.append((child, d + 1, self.child_candidates(child, k), emit_on_pop))
+            stack.append((self.child_candidates(child), None if before else child))
 
 
 def is_solution(
@@ -277,32 +267,33 @@ def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> 
     Raises :class:`ContractError` when ``s`` is a root of its group, which
     includes every solution with ``k`` equal to 0 or to the item count.
     """
-    return _Run(inst, stats).parent(s)
+    _check_record(inst, s)
+    run = _Run(inst, stats)
+    return run.solution(*run._parent(s.elements._mask, s.items._mask, s.k))
 
 
 def children(
-    inst: Instance, t: Solution, k: int, stats: Optional[OracleStats] = None
+    inst: Instance, t: Solution, stats: Optional[OracleStats] = None
 ) -> List[Solution]:
-    """All children of ``t`` in its group ``k``, each once, in traversal order."""
-    return list(_Run(inst, stats).child_candidates(t, k))
+    """All children of ``t`` in its group, each once, in traversal order."""
+    _check_record(inst, t)
+    return list(_Run(inst, stats).child_candidates(t))
 
 
 def descendants(
     inst: Instance,
     t: Solution,
-    k: int,
-    depth: int = 2,
     rho: Optional[VolumeFunction] = None,
     sink: Optional[EmitSink] = None,
     stats: Optional[OracleStats] = None,
 ) -> None:
     """Emit every kept descendant of ``t``, not ``t`` itself.
 
-    ``depth`` is the depth of this invocation in the traversal (roots are
-    expanded at depth 2).  Children found at odd depth are emitted before
-    their subtree, children found at even depth after it.
+    ``t`` is expanded as a root: its children follow their subtrees, its
+    grandchildren precede theirs, and so on by generation.
     """
-    _Run(inst, stats, rho, sink).descend(t, k, depth)
+    _check_record(inst, t)
+    _Run(inst, stats, rho, sink).descend(t)
 
 
 def enumerate_k(
@@ -327,15 +318,12 @@ def enumerate_k(
     if not vk:
         return
     for cm in run.l2(vk):
-        im = inst._common_mask(cm)
-        if _min_id(im) != k:
-            continue
-        t = run.solution(cm, im, k)
-        if not run.rho_positive(t.elements):
+        t = run.solution(cm, inst._common_mask(cm))
+        if t.k != k or not run.rho_positive(t.elements):
             continue
         run.emit(t)
         if 1 <= k <= inst.q - 1:
-            run.descend(t, k, 2)
+            run.descend(t)
 
 
 def enumerate_all(

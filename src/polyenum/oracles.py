@@ -62,7 +62,10 @@ class ExplicitFamilyOracle(SetSystemOracle):
                 c = raw
             else:
                 ids = list(raw)
-                c = IdSet(n, ids)
+                try:
+                    c = IdSet(n, ids)
+                except ValueError as e:
+                    raise ValueError(f"family[{idx}]: {e}") from None
                 if len(c) != len(ids):
                     raise ValueError(f"family[{idx}]: repeated element")
             if not c:
@@ -126,7 +129,10 @@ class GraphConnectivityOracle(SetSystemOracle):
             raise ValueError("need at least one vertex")
         self.n = n
         self._adj = [0] * (n + 1)
-        for idx, (u, v) in enumerate(edges):
+        for idx, edge in enumerate(edges):
+            if len(edge) != 2:
+                raise ValueError(f"edges[{idx}]: expected two endpoints, got {len(edge)}")
+            u, v = edge
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edges[{idx}]: edge ({u}, {v}) outside [1, {n}]")
             if u == v:

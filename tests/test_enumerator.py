@@ -3,6 +3,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyenum import (
     ContractError,
@@ -128,7 +130,9 @@ def test_parent_target_test_agrees_with_full_parent(spec):
             continue  # root of its group
         p = parent(inst, s)
         for t in group:
-            assert run.parent(s, t.elements) == (p.elements == t.elements)
+            assert run._parent(s.elements._mask, s.items._mask, s.k, t.elements._mask) == (
+                p.elements == t.elements
+            )
 
 
 class RecordingOracle(SetSystemOracle):
@@ -195,7 +199,7 @@ def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
         want = parent_from_scratch(inst, s)
         want_log = oracle.log
         oracle.log = []
-        got = run.parent(s)
+        got = parent(inst, s)
         assert got == want
         assert got.items == inst.common_item_set(got.elements)
         assert oracle.log == want_log
@@ -203,19 +207,21 @@ def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
             if not s.elements < t.elements:
                 continue  # only a strict superset can be the parent
             oracle.log = []
-            assert run.parent(s, t.elements) == (got.elements == t.elements)
+            assert run._parent(s.elements._mask, s.items._mask, s.k, t.elements._mask) == (
+                got.elements == t.elements
+            )
             assert oracle.log == want_log[: len(oracle.log)]
 
 
 class TestChildren:
     def test_p3_children_of_base(self, p3):
         t = make_solution(p3, elems(p3, 1, 2))
-        got = children(p3, t, 1)
+        got = children(p3, t)
         assert [s.elements for s in got] == [elems(p3, 2)]
 
     def test_empty_item_window_gives_no_children(self, p3):
         t = make_solution(p3, elems(p3, 2, 3))  # k == q, window empty
-        assert children(p3, t, t.k) == []
+        assert children(p3, t) == []
 
     @pytest.mark.parametrize("seed", range(12))
     def test_children_partition_non_roots(self, seed):
@@ -230,7 +236,7 @@ class TestChildren:
             ]
             produced = []
             for t in group:
-                for c in children(inst, t, k):
+                for c in children(inst, t):
                     assert parent(inst, c).elements == t.elements
                     produced.append(c.elements)
             assert len(produced) == len(set(produced))
@@ -273,20 +279,82 @@ class TestDescendants:
     def test_emits_after_subtree_at_even_depth(self, p3):
         t = make_solution(p3, elems(p3, 1, 2))
         out = []
-        descendants(p3, t, 1, depth=2, sink=out.append)
+        descendants(p3, t, sink=out.append)
         assert [s.elements for s in out] == [elems(p3, 2)]
 
     def test_childless_solution_emits_nothing(self, p3):
         t = make_solution(p3, elems(p3, 2, 3))
         out = []
-        descendants(p3, t, t.k, sink=out.append)
+        descendants(p3, t, sink=out.append)
         assert out == []
 
     def test_pruned_child_cuts_whole_subtree(self, p3):
         t = make_solution(p3, elems(p3, 1, 2))
         out = []
-        descendants(p3, t, 1, rho=SizeAbove(2), sink=out.append)
+        descendants(p3, t, rho=SizeAbove(2), sink=out.append)
         assert out == []
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["explicit", "graph"]),
+        seed=st.integers(0, 10**6),
+        p=st.integers(0, 3),
+    )
+    def test_each_root_expands_to_its_stretch_of_the_run(self, kind, seed, p):
+        """descendants(root) emits what the run emits between root and the next one."""
+        inst = random_instance(RandomSpec(kind=kind, seed=seed))
+        rho = SizeAbove(p)
+        for k in range(1, inst.q):
+            run = []
+            enumerate_k(inst, k, rho=rho, sink=run.append)
+            tops = inst.oracle.l2(inst.elements_with_item(k))
+            roots = [t for t in run if t.elements in tops]
+            starts = [run.index(t) for t in roots] + [len(run)]
+            assert starts[0] == 0
+            for root, start, end in zip(roots, starts, starts[1:]):
+                out = []
+                descendants(inst, root, rho=rho, sink=out.append)
+                assert out == run[start + 1 : end]
+
+
+def forked():
+    """n=2, q=4: the root {1, 2} (items {1, 3}) and its child {2} (items 1 to 4)."""
+    oracle = ExplicitFamilyOracle(2, [[1], [2], [1, 2]])
+    return Instance(2, 4, [[1, 3], [1, 2, 3, 4]], oracle)
+
+
+@pytest.mark.parametrize("block", [parent, children, descendants], ids=lambda f: f.__name__)
+class TestRecordCheckedAtBoundary:
+    """The building blocks take only the record make_solution builds."""
+
+    def test_items_missing_a_common_item(self, block):
+        inst = forked()
+        s = make_solution(inst, IdSet(2, [2]))
+        stats = OracleStats()
+        with pytest.raises(ContractError):
+            block(inst, s._replace(items=IdSet(4, [1, 2, 4])), stats=stats)
+        assert stats.l1_calls == stats.l2_calls == 0
+
+    def test_k_not_the_least_item(self, block):
+        inst = forked()
+        s = make_solution(inst, IdSet(2, [2]))
+        with pytest.raises(ContractError):
+            block(inst, s._replace(k=3))
+
+    def test_elements_over_another_universe(self, block, p3):
+        with pytest.raises(ValueError, match="different universe"):
+            block(p3, Solution(IdSet(5, [2]), items(p3, 1, 2), 1))
+
+
+def test_parent_rejects_every_record_missing_a_common_item():
+    for spec in corpus_specs():
+        inst = random_instance(spec)
+        for s in brute_force_solutions(inst):
+            for i in s.items:
+                if i == s.k:
+                    continue
+                with pytest.raises(ContractError):
+                    parent(inst, s._replace(items=s.items - IdSet(inst.q, [i])))
 
 
 class TestEnumerateAll:
@@ -378,7 +446,7 @@ class TestStackMatchesRecursion:
         out = []
 
         def descend(t, k, d):
-            for s in children(inst, t, k):
+            for s in children(inst, t):
                 if not rho.positive(s.elements):
                     continue
                 if d % 2 == 1:

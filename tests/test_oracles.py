@@ -52,6 +52,8 @@ class TestExplicitFamily:
             ExplicitFamilyOracle(3, [[]])
         with pytest.raises(ValueError):
             ExplicitFamilyOracle(3, [[4]])
+        with pytest.raises(ValueError, match=r"^family\[1\]: id 5 outside \[1, 3\]$"):
+            ExplicitFamilyOracle(3, [[1], [1, 5]])
 
     def test_repeated_element_in_a_member_rejected(self):
         with pytest.raises(ValueError, match=r"family\[1\]: repeated element"):
@@ -82,6 +84,8 @@ class TestGraphConnectivity:
             GraphConnectivityOracle(3, [(1, 4)])
         with pytest.raises(ValueError):
             GraphConnectivityOracle(0)
+        with pytest.raises(ValueError, match=r"^edges\[1\]: expected two endpoints, got 3$"):
+            GraphConnectivityOracle(3, [(1, 2), (1, 2, 3)])
 
     @pytest.mark.parametrize("again", [(1, 2), (2, 1)])
     def test_duplicate_edge_rejected(self, again):

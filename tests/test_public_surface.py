@@ -1,5 +1,6 @@
 """The package's public names: a change to the surface edits this list."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -32,9 +33,32 @@ PUBLIC = [
     "subset_lex_less",
 ]
 
+# Parameter names of every public function: a new or renamed knob edits this.
+SIGNATURES = {
+    "children": ["inst", "t", "stats"],
+    "descendants": ["inst", "t", "rho", "sink", "stats"],
+    "enumerate_all": ["inst", "rho", "sink", "stats"],
+    "enumerate_components": ["oracle", "n", "rho", "sink", "stats"],
+    "enumerate_k": ["inst", "k", "rho", "sink", "stats"],
+    "is_solution": ["inst", "component", "stats"],
+    "make_solution": ["inst", "elements"],
+    "parent": ["inst", "s", "stats"],
+    "subset_lex_leq": ["a", "b"],
+    "subset_lex_less": ["a", "b"],
+}
+
 
 def test_all_is_pinned():
     assert sorted(polyenum.__all__) == PUBLIC
+
+
+def test_public_signatures_are_pinned():
+    got = {}
+    for name in polyenum.__all__:
+        obj = getattr(polyenum, name)
+        if inspect.isfunction(obj):
+            got[name] = list(inspect.signature(obj).parameters)
+    assert got == SIGNATURES
 
 
 def test_every_public_name_resolves():
