@@ -182,6 +182,8 @@ class SetSystemOracle:
     :class:`IdSet` and call ``l1``/``l2``, so a custom backend implements
     only those two; an answer that is not a set over ``[1, n]`` raises
     :class:`ContractError`.  The shipped backends answer on masks directly.
+    Whether a known component is maximal inside ``y`` it asks through
+    ``_maximal_mask``, counted as one ``l1`` call; see there.
     """
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
@@ -202,6 +204,14 @@ class SetSystemOracle:
     def _l2_masks(self, n: int, ym: int) -> List[int]:
         """``l2`` on masks over ``[1, n]``, in the same order."""
         return [_answer_mask(n, c, "l2") for c in self.l2(IdSet._from_mask(n, ym))]
+
+    def _maximal_mask(self, n: int, cm: int, ym: int) -> bool:
+        """Whether the component ``cm`` is maximal within ``ym``, on masks.
+
+        Asked only with a component inside ``ym``, so an override may use a
+        test that holds for components only.  The default holds for any set.
+        """
+        return self._l1_mask(n, cm, ym) == cm
 
 
 class VolumeFunction:

@@ -102,6 +102,17 @@ class _Run:
         check_l1_masks(xm, ym)
         return self.oracle._l1_mask(self.n, xm, ym)
 
+    def maximal(self, cm: int, ym: int) -> bool:
+        """Whether the component ``cm`` is maximal within ``ym``: one ``l1`` call.
+
+        Only for a ``cm`` known to be a component; for any other set ask
+        ``l1(cm, ym) == cm``, since a backend's probe may hold for
+        components only.
+        """
+        self.stats.l1_calls += 1
+        check_l1_masks(cm, ym)
+        return self.oracle._maximal_mask(self.n, cm, ym)
+
     def l2(self, ym: int) -> List[int]:
         self.stats.l2_calls += 1
         return self.oracle._l2_masks(self.n, ym)
@@ -120,10 +131,10 @@ class _Run:
         return Solution(IdSet._from_mask(self.n, cm), items, items.min_id())
 
     def is_solution(self, cm: int, im: int) -> bool:
-        """Whether the component ``cm``, whose common items are ``im``, is a solution."""
+        """Whether ``cm``, whose common items are ``im``, is a solution."""
         # A component is a solution iff it is already maximal among the
-        # elements carrying all of its common items: the single l1 probe
-        # below answers exactly that.
+        # elements carrying all of its common items: the single l1 call
+        # below answers exactly that, and says no for a non-component.
         return self.l1(cm, self.inst._hull_mask(im)) == cm
 
     def _parent(
@@ -155,7 +166,7 @@ class _Run:
             bit = rest & -rest
             rest ^= bit
             trial = hull & inst._slice_mask(bit.bit_length() - 1)
-            if self.l1(sm, trial) != sm:
+            if not self.maximal(sm, trial):
                 hull = trial
                 if target is not None and target & ~hull:
                     return False
@@ -165,7 +176,8 @@ class _Run:
         # that is itself a solution is the parent.  Each kept element
         # narrows the common items to its own.  The parent contains every
         # kept element, so keeping one outside the target settles the
-        # answer.
+        # answer.  A grown set need not be a component, so it is tested
+        # with l1, not with the maximality probe.
         grown, items = sm, sim
         rest = hull & ~sm
         while rest:
@@ -199,7 +211,9 @@ class _Run:
         """
         inst = self.inst
         tm, tim, k = t.elements._mask, t.items._mask, t.k
-        kbit = 1 << k  # k >= 1: only inner groups have children
+        if not k:
+            return  # no group-0 solution has children: no l2 query needed
+        kbit = 1 << k
         for j in range(k + 1, inst.q + 1):
             jbit = 1 << j
             if tim & jbit:
@@ -214,8 +228,8 @@ class _Run:
                 new = im & ~tim
                 if new & -new != jbit:
                     continue  # generated for a smaller j
-                if not self.is_solution(cm, im):
-                    continue
+                if not self.maximal(cm, inst._hull_mask(im)):
+                    continue  # not a solution (an l2 answer is a component)
                 if not self._parent(cm, im, k, tm):
                     continue
                 yield self.solution(cm, im)

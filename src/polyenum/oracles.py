@@ -41,8 +41,9 @@ class ExplicitFamilyOracle(SetSystemOracle):
     """A set system whose component family is stored as a plain list.
 
     Queries scan the members' bitmasks in subset order
-    (:func:`subset_lex_less`), fixed once at construction.  ``l1`` is
-    linear in the family size and ``l2`` at worst quadratic.  This
+    (:func:`subset_lex_less`), fixed once at construction.  ``l1`` scans
+    only the members holding the least element of ``x`` (a per-element
+    index) and ``l2`` is at worst quadratic in the family size.  This
     backend exists to be obviously correct at desk scale, not to be fast.
     Each member must be non-empty, list no element twice and differ from
     every other member; the constructor rejects the first that does not.
@@ -79,11 +80,17 @@ class ExplicitFamilyOracle(SetSystemOracle):
         self._masks: Tuple[int, ...] = tuple(
             c._mask for c in sorted(self.family, key=lex_sort_key)
         )
+        # Per element, the members holding it, still in subset order.
+        self._holding: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple([m for m in self._masks if m & bit])
+            for bit in [1 << v for v in range(n + 1)]
+        )
 
     def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
-        # The first candidate in subset order is maximal, since a set
-        # precedes its proper subsets, and it wins the tie-break.
-        for m in self._masks:
+        # Every candidate holds the least element of x.  The first one in
+        # subset order is maximal, since a set precedes its proper subsets,
+        # and it wins the tie-break.
+        for m in self._holding[(xm & -xm).bit_length() - 1]:
             if not xm & ~m and not m & ~ym:
                 return m
         return None
@@ -121,7 +128,9 @@ class GraphConnectivityOracle(SetSystemOracle):
     sweep restricted to the queried vertex set, entirely on bitmasks, so
     no recursion depth is involved however large the graph gets.
     Consecutive ``l1`` queries on one hull reuse the components already
-    swept there.
+    swept there.  The maximality probe runs no sweep: a connected set is
+    maximal within ``y`` exactly when no vertex of ``y`` outside it is
+    adjacent to it.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
@@ -183,6 +192,22 @@ class GraphConnectivityOracle(SetSystemOracle):
         if xm & ~comp:
             return None
         return comp
+
+    def _maximal_mask(self, n: int, cm: int, ym: int) -> bool:
+        # cm is connected, so it is maximal iff no vertex of ym - cm is
+        # adjacent to it.  Walk the smaller side; stop at the first edge.
+        out = ym & ~cm
+        if out.bit_count() < cm.bit_count():
+            walk, other = out, cm
+        else:
+            walk, other = cm, out
+        adj = self._adj
+        while walk:
+            lsb = walk & -walk
+            if adj[lsb.bit_length() - 1] & other:
+                return False
+            walk ^= lsb
+        return True
 
     def _l2_masks(self, n: int, ym: int) -> List[int]:
         comps: List[int] = []

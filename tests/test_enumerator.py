@@ -64,6 +64,20 @@ class TestIsSolution:
         inst = makeinst(oracle)
         assert is_solution(inst, IdSet(inst.n, [1, 3]))
 
+    def test_non_component_is_not_a_solution(self):
+        # {1, 3} is disconnected on the path 1-2-3 and fills its own hull
+        # (the elements carrying item 1), so no vertex of the hull lies
+        # outside it: the backend's neighbour probe, which holds for
+        # components only, says "maximal".  The public test must still
+        # say no, as documented for a non-component.
+        oracle = GraphConnectivityOracle(3, [(1, 2), (2, 3)])
+        inst = Instance(3, 2, [[1], [2], [1]], oracle)
+        x = IdSet(3, [1, 3])
+        assert oracle._maximal_mask(3, x._mask, inst._hull_mask(2))
+        stats = OracleStats()
+        assert not is_solution(inst, x, stats)
+        assert stats.l1_calls == 1
+
 
 def makeinst(oracle, q=2, sigma=((1,), (1, 2), (2,))):
     from polyenum import Instance
@@ -222,6 +236,18 @@ class TestChildren:
     def test_empty_item_window_gives_no_children(self, p3):
         t = make_solution(p3, elems(p3, 2, 3))  # k == q, window empty
         assert children(p3, t) == []
+
+    def test_group_0_has_no_children_and_asks_nothing(self, p3):
+        # Every group-0 solution is maximal in the whole universe, so it is
+        # a root with nothing below it; no oracle query is needed to say so.
+        t = make_solution(p3, elems(p3, 1, 2, 3))
+        assert t.k == 0
+        stats = OracleStats()
+        assert children(p3, t, stats) == []
+        out = []
+        descendants(p3, t, sink=out.append, stats=stats)
+        assert out == []
+        assert stats.l1_calls == stats.l2_calls == 0
 
     @pytest.mark.parametrize("seed", range(12))
     def test_children_partition_non_roots(self, seed):
