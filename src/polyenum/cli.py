@@ -28,10 +28,10 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, TextIO
+from typing import List, Optional, Set, TextIO
 
 from .components import ReducedInstance
-from .core import ContractError, Instance, OracleStats, SizeAbove
+from .core import ContractError, IdSet, Instance, OracleStats, SizeAbove
 from .enumerator import Solution, enumerate_all, enumerate_k
 from .oracles import ExplicitFamilyOracle, GraphConnectivityOracle
 
@@ -67,17 +67,14 @@ def _require_count(doc: dict, key: str) -> int:
     return value
 
 
-def _int_list(raw, where: str, low: int, high: int) -> List[int]:
+def _int_list(raw, where: str) -> List[int]:
+    """``raw`` if it is a JSON list of integers; the constructors check the ids."""
     if not isinstance(raw, list):
         raise InstanceFormatError(f"{where}: expected a list of integers")
-    out = []
     for x in raw:
         if not isinstance(x, int) or isinstance(x, bool):
             raise InstanceFormatError(f"{where}: expected integers, got {x!r}")
-        if not low <= x <= high:
-            raise InstanceFormatError(f"{where}: id {x} outside [{low}, {high}]")
-        out.append(x)
-    return out
+    return raw
 
 
 def _construct(field: str, arg: str, build, *args):
@@ -102,14 +99,9 @@ def _build_oracle(doc: dict, n: int):
         raw_edges = system.get("edges")
         if not isinstance(raw_edges, list):
             raise InstanceFormatError("system.edges: expected a list of [u, v] pairs")
-        edges = []
-        for idx, pair in enumerate(raw_edges):
-            edge = _int_list(pair, f"system.edges[{idx}]", 1, n)
-            if len(edge) != 2:
-                raise InstanceFormatError(
-                    f"system.edges[{idx}]: expected exactly two endpoints"
-                )
-            edges.append(edge)
+        edges = [
+            _int_list(pair, f"system.edges[{idx}]") for idx, pair in enumerate(raw_edges)
+        ]
         return _construct("system.edges", "edges", GraphConnectivityOracle, n, edges)
     if kind == "explicit":
         raw_family = system.get("components")
@@ -118,7 +110,7 @@ def _build_oracle(doc: dict, n: int):
                 "system.components: expected a list of element-id lists"
             )
         family = [
-            _int_list(raw, f"system.components[{idx}]", 1, n)
+            _int_list(raw, f"system.components[{idx}]")
             for idx, raw in enumerate(raw_family)
         ]
         return _construct(
@@ -135,9 +127,7 @@ def parse_instance(path: str) -> Instance:
     raw_sigma = doc.get("sigma")
     if not isinstance(raw_sigma, list):
         raise InstanceFormatError("sigma: expected a list of item-id lists")
-    if len(raw_sigma) != n:
-        raise InstanceFormatError(f"sigma: expected {n} rows, got {len(raw_sigma)}")
-    sigma = [_int_list(row, f"sigma[{idx}]", 1, q) for idx, row in enumerate(raw_sigma)]
+    sigma = [_int_list(row, f"sigma[{idx}]") for idx, row in enumerate(raw_sigma)]
     return _construct("sigma", "sigma", Instance, n, q, sigma, _build_oracle(doc, n))
 
 
@@ -192,7 +182,11 @@ def _json_record(s: Solution) -> str:
     return json.dumps({"elements": list(s.elements), "items": list(s.items), "k": s.k})
 
 
-def _verify(inst: Instance, emitted: List[Solution], args, err: TextIO) -> bool:
+def _expected(inst: Instance, args) -> Set[IdSet]:
+    """The element sets ``--verify`` expects, from the definition.
+
+    Raises :class:`ContractError` for an instance too large to check.
+    """
     # testkit (and the random module) load only for --verify, not at
     # every start of the CLI.
     from . import testkit
@@ -202,14 +196,15 @@ def _verify(inst: Instance, emitted: List[Solution], args, err: TextIO) -> bool:
     else:
         expected_sets = [s.elements for s in testkit.brute_force_solutions(inst)]
     rho = SizeAbove(args.min_size)
-    expected = set()
-    for c in expected_sets:
-        if not rho.positive(c):
-            continue
-        if args.k is not None and inst.common_item_set(c).min_id() != args.k:
-            continue
-        expected.add(c)
-    got = [s.elements for s in emitted]
+    return {
+        c
+        for c in expected_sets
+        if rho.positive(c)
+        and (args.k is None or inst.common_item_set(c).min_id() == args.k)
+    }
+
+
+def _verify(expected: Set[IdSet], got: List[IdSet], err: TextIO) -> bool:
     ok = True
     if len(got) != len(set(got)):
         print("verify: MISMATCH: duplicate records in the output", file=err)
@@ -296,17 +291,22 @@ def _run(argv: Optional[List[str]], out: TextIO, err: TextIO) -> int:
         return 2
 
     render = _json_record if args.format == "json" else _text_record
-    emitted: List[Solution] = []
+    expected: Set[IdSet] = set()
+    got: List[IdSet] = []
     keep = args.verify
 
     def sink(s: Solution) -> None:
         print(render(s), file=out, flush=True)
         if keep:
-            emitted.append(s)
+            got.append(s.elements)
 
     stats = OracleStats()
     rho = SizeAbove(args.min_size)
     try:
+        # Worked out first, so an instance too large to check is refused
+        # before any record is printed.
+        if args.verify:
+            expected = _expected(inst, args)
         if args.k is None:
             enumerate_all(inst, rho=rho, sink=sink, stats=stats)
         else:
@@ -320,14 +320,8 @@ def _run(argv: Optional[List[str]], out: TextIO, err: TextIO) -> int:
             print(f"{name}={value}", file=err)
         print(f"delta_hint={inst.oracle.delta_hint()}", file=err)
 
-    if args.verify:
-        try:
-            ok = _verify(inst, emitted, args, err)
-        except ContractError as exc:
-            print(f"error: {exc}", file=err)
-            return 2
-        if not ok:
-            return 1
+    if args.verify and not _verify(expected, got, err):
+        return 1
     return 0
 
 

@@ -144,21 +144,14 @@ def lex_sort_key(s: IdSet) -> int:
     return -rev
 
 
-def check_l1_masks(xm: int, ym: int) -> None:
-    """The ``l1`` precondition on masks: ``x`` non-empty and inside ``y``."""
-    if not xm or xm & ~ym:
-        raise ContractError(
-            "l1 requires a non-empty lower bound set" if not xm
-            else "l1 requires the lower bound to sit inside the upper bound"
-        )
-
-
 def _answer_mask(n: int, answer: object, query: str) -> int:
     if not isinstance(answer, IdSet) or answer.capacity != n:
         raise ContractError(
             f"{query} answered {answer!r}, not a set over the instance's "
             f"elements [1, {n}]"
         )
+    if not answer:
+        raise ContractError(f"{query} answered the empty set; components are non-empty")
     return answer._mask
 
 
@@ -180,8 +173,11 @@ class SetSystemOracle:
     The enumerator asks through ``_l1_mask`` and ``_l2_masks``, which take
     and return bitmasks over ``[1, n]``.  Their defaults wrap the masks in
     :class:`IdSet` and call ``l1``/``l2``, so a custom backend implements
-    only those two; an answer that is not a set over ``[1, n]`` raises
-    :class:`ContractError`.  The shipped backends answer on masks directly.
+    only those two; an answer that is not a set over ``[1, n]``, or is
+    empty, raises :class:`ContractError`.  That is the one check the
+    enumerator makes on a backend: every query it builds from non-empty
+    components meets the ``l1`` precondition by construction.  The
+    shipped backends answer on masks directly.
     Whether a known component is maximal inside ``y`` it asks through
     ``_maximal_mask``, counted as one ``l1`` call; see there.
     """
@@ -197,7 +193,7 @@ class SetSystemOracle:
         raise NotImplementedError
 
     def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
-        """``l1`` on masks over ``[1, n]``; the caller has checked the precondition."""
+        """``l1`` on masks over ``[1, n]``; the caller meets the precondition."""
         z = self.l1(IdSet._from_mask(n, xm), IdSet._from_mask(n, ym))
         return None if z is None else _answer_mask(n, z, "l1")
 

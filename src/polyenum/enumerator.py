@@ -33,7 +33,6 @@ from .core import (
     OracleStats,
     SizeAbove,
     VolumeFunction,
-    check_l1_masks,
 )
 
 
@@ -78,6 +77,13 @@ class _Run:
     ``is_solution``, ``_parent`` and the candidate scan take and return
     element and item masks.  :class:`Solution` objects are built only for
     the solutions handed out: roots, children and the public parent.
+
+    Nothing here re-checks a query.  Each ``l1`` query asks about a
+    non-empty component, or one grown from it, inside a hull that holds
+    it, so it meets the precondition by construction.  The inputs are
+    checked where they enter: a record by the public functions, a custom
+    backend's answer by the :class:`SetSystemOracle` adapter, which
+    rejects an empty component.
     """
 
     __slots__ = ("inst", "oracle", "n", "stats", "rho", "sink")
@@ -99,7 +105,6 @@ class _Run:
 
     def l1(self, xm: int, ym: int) -> Optional[int]:
         self.stats.l1_calls += 1
-        check_l1_masks(xm, ym)
         return self.oracle._l1_mask(self.n, xm, ym)
 
     def maximal(self, cm: int, ym: int) -> bool:
@@ -110,7 +115,6 @@ class _Run:
         components only.
         """
         self.stats.l1_calls += 1
-        check_l1_masks(cm, ym)
         return self.oracle._maximal_mask(self.n, cm, ym)
 
     def l2(self, ym: int) -> List[int]:
@@ -140,7 +144,7 @@ class _Run:
     def _parent(
         self, sm: int, sim: int, k: int, target: Optional[int] = None
     ) -> Union[Tuple[int, int], bool]:
-        """Parent of the solution ``sm`` with items ``sim`` in group ``k``.
+        """Parent of the solution ``sm`` with items ``sim`` in inner group ``k``.
 
         Returns the parent's element and item masks, or with ``target``
         whether the parent's elements are ``target``.  Both questions share
@@ -149,10 +153,6 @@ class _Run:
         candidates fail within a few oracle calls.
         """
         inst = self.inst
-        if not 1 <= k <= inst.q - 1:
-            raise ContractError(
-                f"solutions in group {k} are roots and have no parent"
-            )
         # First pass: decide the parent's item set, one item at a time in
         # ascending order.  An item survives exactly when some component
         # strictly above s still carries the items kept so far plus it.
@@ -282,6 +282,8 @@ def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> 
     includes every solution with ``k`` equal to 0 or to the item count.
     """
     _check_record(inst, s)
+    if not 1 <= s.k <= inst.q - 1:
+        raise ContractError(f"solutions in group {s.k} are roots and have no parent")
     run = _Run(inst, stats)
     return run.solution(*run._parent(s.elements._mask, s.items._mask, s.k))
 

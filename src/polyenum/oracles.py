@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .core import IdSet, SetSystemOracle, check_l1_masks, lex_sort_key
+from .core import ContractError, IdSet, SetSystemOracle, lex_sort_key
 
 
 def _mask_over(n: int, s: IdSet) -> int:
@@ -31,9 +31,12 @@ def _mask_over(n: int, s: IdSet) -> int:
 
 
 def _l1_query(n: int, x: IdSet, y: IdSet) -> Tuple[int, int]:
-    """The masks of a public ``l1`` query, checked as ``_Run.l1`` checks its own."""
+    """The masks of a public ``l1`` query: ``x`` non-empty and inside ``y``."""
     xm, ym = _mask_over(n, x), _mask_over(n, y)
-    check_l1_masks(xm, ym)
+    if not xm:
+        raise ContractError("l1 requires a non-empty lower bound set")
+    if xm & ~ym:
+        raise ContractError("l1 requires the lower bound to sit inside the upper bound")
     return xm, ym
 
 

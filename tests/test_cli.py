@@ -225,6 +225,23 @@ class TestRun:
                 "error: system.components[1]: repeated element\n",
             ),
             (None, [[1], [1, 1], [2]], "error: sigma[1]: repeated item 1\n"),
+            (
+                {"kind": "graph", "edges": [[1, 2, 3]]},
+                None,
+                "error: system.edges[0]: expected two endpoints, got 3\n",
+            ),
+            (
+                {"kind": "graph", "edges": [[1, 2], [0, 2]]},
+                None,
+                "error: system.edges[1]: edge (0, 2) outside [1, 3]\n",
+            ),
+            (
+                {"kind": "explicit", "components": [[1], [5, 2]]},
+                None,
+                "error: system.components[1]: id 5 outside [1, 3]\n",
+            ),
+            (None, [[1], [1, 3], [2]], "error: sigma[1]: item 3 outside [1, 2]\n"),
+            (None, [[1], [1, 2]], "error: sigma must have 3 rows, got 2\n"),
         ],
     )
     def test_constructor_errors_name_document_fields(self, tmp_path, system, sigma, line):
@@ -232,6 +249,22 @@ class TestRun:
         doc["system"] = system or doc["system"]
         doc["sigma"] = sigma or doc["sigma"]
         code, out, err = invoke(["--input", write_doc(tmp_path, doc)])
+        assert (code, out, err) == (2, "", line)
+        if system:
+            # --components builds the same oracle, so the same line
+            del doc["sigma"]
+            code, out, err = invoke(["--input", write_doc(tmp_path, doc), "--components"])
+            assert (code, out, err) == (2, "", line)
+
+    @pytest.mark.parametrize("mode", [[], ["--components"]], ids=["solutions", "components"])
+    def test_verify_refuses_before_any_output(self, tmp_path, mode):
+        # a 13-vertex path is past the brute-force limit of 12 vertices
+        doc = {"elements": 13, "items": 1, "sigma": [[1]] * 13,
+               "system": {"kind": "graph", "edges": [[v, v + 1] for v in range(1, 13)]}}
+        code, out, err = invoke(["--input", write_doc(tmp_path, doc), "--verify", *mode])
+        line = "error: graph too large to materialize: 13 > 12 vertices\n"
+        if mode:
+            line = "warning: sigma in the input is ignored in --components mode\n" + line
         assert (code, out, err) == (2, "", line)
 
     def test_unknown_flag_exits_2(self, tmp_path):

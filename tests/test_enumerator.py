@@ -104,6 +104,13 @@ class TestParent:
         with pytest.raises(ContractError):
             parent(p3, right)
 
+    @pytest.mark.parametrize("ids, k", [((1, 2, 3), 0), ((2, 3), 2)])
+    def test_boundary_groups_rejected_before_any_query(self, p3, ids, k):
+        stats = OracleStats()
+        with pytest.raises(ContractError, match=f"^solutions in group {k} are roots"):
+            parent(p3, make_solution(p3, elems(p3, *ids)), stats)
+        assert stats.as_dict() == OracleStats().as_dict()
+
     def test_root_of_inner_group_rejected(self, p3):
         base = make_solution(p3, elems(p3, 1, 2))  # root of group 1
         with pytest.raises(ContractError):

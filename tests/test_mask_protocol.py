@@ -105,6 +105,28 @@ class FrozensetL1(PublicOnly):
         return None if z is None else frozenset(z)
 
 
+class EmptyL1(PublicOnly):
+    """Answers every ``l1`` query with the empty set."""
+
+    def l1(self, x, y):
+        return IdSet(x.capacity)
+
+
+class EmptyL2(PublicOnly):
+    """Adds the empty set to its first ``l2`` answer only: the root query."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.asked = False
+
+    def l2(self, y):
+        answer = self.inner.l2(y)
+        if not self.asked:
+            self.asked = True
+            answer.append(IdSet(y.capacity))  # last in subset order
+        return answer
+
+
 P3_EDGES = [(1, 2), (2, 3)]
 
 
@@ -129,6 +151,32 @@ def test_cli_exits_2_on_a_foreign_universe_answer(tmp_path, monkeypatch):
     assert cli.run(["--input", str(path)], stdout=out, stderr=err) == 2
     assert err.getvalue().startswith("error: l1 answered IdSet(4, ")
     assert "not a set over the instance's elements [1, 3]" in err.getvalue()
+
+
+@pytest.mark.parametrize("broken, query", [(EmptyL1, "l1"), (EmptyL2, "l2")])
+def test_empty_answers_fail_loudly(broken, query):
+    # An empty root answer used to be skipped as a record of another group.
+    line = rf"^{query} answered the empty set; components are non-empty$"
+    with pytest.raises(ContractError, match=line):
+        enumerate_all(Instance(3, 2, P3_SIGMA, broken(GraphConnectivityOracle(3, P3_EDGES))),
+                      sink=lambda s: None)
+    with pytest.raises(ContractError, match=line):
+        enumerate_components(broken(GraphConnectivityOracle(3, P3_EDGES)), 3,
+                             sink=lambda s: None)
+
+
+@pytest.mark.parametrize("mode", [[], ["--components"]], ids=["solutions", "components"])
+@pytest.mark.parametrize("broken, query", [(EmptyL1, "l1"), (EmptyL2, "l2")])
+def test_cli_exits_2_on_an_empty_answer(tmp_path, monkeypatch, broken, query, mode):
+    path = tmp_path / "p3.json"
+    path.write_text('{"elements": 3, "items": 2, "sigma": [[1], [1, 2], [2]],'
+                    ' "system": {"kind": "graph", "edges": [[1, 2], [2, 3]]}}')
+    build = cli._build_oracle
+    monkeypatch.setattr(cli, "_build_oracle", lambda doc, n: broken(build(doc, n)))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["--input", str(path), *mode], stdout=out, stderr=err) == 2
+    assert err.getvalue().endswith(
+        f"error: {query} answered the empty set; components are non-empty\n")
 
 
 def random_graph_oracle(rng, n):
