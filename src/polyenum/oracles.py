@@ -1,14 +1,15 @@
 """Concrete oracle backends.
 
-Two set systems are shipped: a family listed verbatim (the correctness
-workhorse at desk scale) and the connected induced subgraphs of a simple
-undirected graph.  Both are deterministic, and concurrent queries are safe.
-The explicit backend is immutable after construction.  The graph backend
-keeps a one-hull memo of the components its ``l1`` queries found; those
-are pure functions of the query, so the memo never changes an answer, and
-it holds one hull's components at most, O(n) memory.  ``OracleStats``
-counts logical calls, memo hits included, so the call envelope of the
-enumeration does not depend on it.
+Two set systems are shipped: a family listed member by member, indexed by
+element in bitmaps over the members, and the connected induced subgraphs
+of a simple undirected graph.  Both are deterministic, and concurrent
+queries are safe.  Each keeps one memo, and what it holds is a pure
+function of the set system, so a memo never changes an answer.  The
+explicit backend remembers which members lie inside each member ``l2``
+has kept, F² bits at most for F members.  The graph backend remembers
+the components its ``l1`` queries found in the last hull, O(n) memory.
+``OracleStats`` counts logical calls, memo hits included, so the call
+envelope of the enumeration does not depend on either memo.
 
 Both backends answer the enumerator's mask queries (``_l1_mask``,
 ``_l2_masks``) directly; their public ``l1``/``l2`` check the query and
@@ -41,13 +42,21 @@ def _l1_query(n: int, x: IdSet, y: IdSet) -> Tuple[int, int]:
 
 
 class ExplicitFamilyOracle(SetSystemOracle):
-    """A set system whose component family is stored as a plain list.
+    """A set system whose component family is listed member by member.
 
-    Queries scan the members' bitmasks in subset order
-    (:func:`subset_lex_less`), fixed once at construction.  ``l1`` scans
-    only the members holding the least element of ``x`` (a per-element
-    index) and ``l2`` is at worst quadratic in the family size.  This
-    backend exists to be obviously correct at desk scale, not to be fast.
+    The F members are put in subset order (:func:`subset_lex_less`) once,
+    at construction, and indexed by element in vertical bitmaps: column
+    ``v`` is an F-bit integer whose bit ``r`` is set when the ``r``-th
+    member holds ``v``, so the index takes O(n·F) bits.  The members
+    inside ``y`` are those holding no element outside it, an OR of the
+    columns outside ``y``.  ``l1(x, y)`` ANDs in the columns of ``x`` and
+    answers the lowest member left: a set precedes its proper subsets, so
+    that member is maximal within ``y``, and it wins the tie-break.
+    ``l2(y)`` keeps the lowest member inside ``y``, clears every member
+    inside that one, and repeats.  Which members lie inside a member is
+    worked out the first time ``l2`` keeps it and remembered as an F-bit
+    row, F² bits at most; a row is a pure function of the family, so the
+    memo never changes an answer.
     Each member must be non-empty, list no element twice and differ from
     every other member; the constructor rejects the first that does not.
     """
@@ -79,36 +88,61 @@ class ExplicitFamilyOracle(SetSystemOracle):
             members[c._mask] = c
         self.family: Tuple[IdSet, ...] = tuple(members.values())
         self._members = members
-        # The members' masks in subset order, for the scans.
+        # The members' masks in subset order: bit r of every bitmap below
+        # stands for self._masks[r].
         self._masks: Tuple[int, ...] = tuple(
             c._mask for c in sorted(self.family, key=lex_sort_key)
         )
-        # Per element, the members holding it, still in subset order.
-        self._holding: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple([m for m in self._masks if m & bit])
-            for bit in [1 << v for v in range(n + 1)]
-        )
+        self._all = (1 << len(self._masks)) - 1
+        # Column v is the bitmap of the members holding element v: zip
+        # transposes the members' bit strings, each written lowest element
+        # first and listed last member first, so member r lands on bit r.
+        bits = [format(m, f"0{n + 1}b")[::-1] for m in reversed(self._masks)]
+        self._cols: Tuple[int, ...] = tuple(
+            int("".join(col), 2) for col in zip(*bits)
+        ) or (0,) * (n + 1)
+        # Per member, the bitmap of the members not inside it, filled when
+        # l2 first keeps the member.  Each row is a pure function of the
+        # family, so filling one never changes an answer, and a lost race
+        # only repeats the work.
+        self._rows: List[Optional[int]] = [None] * len(self._masks)
+
+    def _leaving(self, n: int, sm: int) -> int:
+        """The bitmap of the members holding some element outside ``sm``."""
+        cols = self._cols
+        out = 0
+        rest = ((1 << (n + 1)) - 2) & ~sm
+        while rest:
+            lsb = rest & -rest
+            out |= cols[lsb.bit_length() - 1]
+            rest ^= lsb
+        return out
 
     def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
-        # Every candidate holds the least element of x.  The first one in
-        # subset order is maximal, since a set precedes its proper subsets,
-        # and it wins the tie-break.
-        for m in self._holding[(xm & -xm).bit_length() - 1]:
-            if not xm & ~m and not m & ~ym:
-                return m
-        return None
+        cand = self._all & ~self._leaving(n, ym)
+        cols = self._cols
+        while xm and cand:
+            lsb = xm & -xm
+            cand &= cols[lsb.bit_length() - 1]
+            xm ^= lsb
+        if not cand:
+            return None
+        return self._masks[(cand & -cand).bit_length() - 1]
 
     def _l2_masks(self, n: int, ym: int) -> List[int]:
         kept: List[int] = []
-        # In subset order every strict superset comes first, and so does a
-        # maximal one above it: a candidate is maximal iff no kept one
-        # contains it.
-        for m in self._masks:
-            if m & ~ym:
-                continue
-            if any(not m & ~k for k in kept):
-                continue
-            kept.append(m)
+        cand = self._all & ~self._leaving(n, ym)
+        masks, rows = self._masks, self._rows
+        # Every strict superset of a candidate comes before it, so the
+        # lowest candidate is maximal: keep it, clear the candidates inside
+        # it, and repeat.
+        while cand:
+            r = (cand & -cand).bit_length() - 1
+            kept.append(masks[r])
+            row = rows[r]
+            if row is None:
+                row = rows[r] = self._leaving(n, masks[r])
+            cand &= row
         return kept
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:

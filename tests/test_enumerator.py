@@ -350,6 +350,58 @@ class TestDescendants:
                 assert out == run[start + 1 : end]
 
 
+@st.composite
+def small_instances(draw):
+    """A small instance over an explicit family or a graph, as plain data."""
+    n = draw(st.integers(1, 7))
+    q = draw(st.integers(1, 6))
+    sigma = [[i for i in range(1, q + 1) if draw(st.booleans())] for _ in range(n)]
+    if draw(st.booleans()):
+        size = draw(st.integers(1, min(24, (1 << n) - 1)))
+        masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=size, max_size=size,
+                              unique=True))
+        system = ("explicit", sorted(masks))
+    else:
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        system = ("graph", [e for e in pairs if draw(st.booleans())])
+    return n, q, sigma, system
+
+
+def build(case):
+    n, q, sigma, (kind, data) = case
+    if kind == "explicit":
+        oracle = ExplicitFamilyOracle(n, [IdSet._from_mask(n, m << 1) for m in data])
+    else:
+        oracle = GraphConnectivityOracle(n, data)
+    return Instance(n, q, sigma, oracle)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=small_instances())
+def test_every_child_has_t_as_parent(case):
+    inst = build(case)
+    for t in brute_force_solutions(inst):
+        for c in children(inst, t):
+            assert parent(inst, c) == t
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=small_instances())
+def test_children_are_the_solutions_whose_brute_force_parent_is_t(case):
+    inst = build(case)
+    sols = brute_force_solutions(inst)
+    parent_of = {}
+    for s in sols:
+        try:
+            parent_of[s] = brute_force_parent(inst, s, sols)
+        except ContractError:
+            pass  # a root of its group
+    for t in sols:
+        got = children(inst, t)
+        assert len(got) == len(set(got))
+        assert set(got) == {s for s, p in parent_of.items() if p == t}
+
+
 def forked():
     """n=2, q=4: the root {1, 2} (items {1, 3}) and its child {2} (items 1 to 4)."""
     oracle = ExplicitFamilyOracle(2, [[1], [2], [1, 2]])

@@ -4,9 +4,9 @@ The enumerator asks ``_maximal_mask(n, c, y)`` wherever it knows ``c`` is
 a component, and counts it as one ``l1`` call.  Its contract is
 ``_l1_mask(n, c, y) == c`` for every component ``c`` and every ``y``
 holding it; these tests hold both shipped backends to it over every such
-pair on seeded graphs and families.  The explicit backend's ``l1`` scans
-only the members holding the least element of ``x``; it must answer as
-the full scan of its members in subset order does.
+pair on seeded graphs and families.  The explicit backend's ``l1``
+answers from its per-element bitmaps; it must answer as the full scan of
+its members in subset order does.
 """
 
 import random

@@ -4,6 +4,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyenum import (
     ContractError,
@@ -266,6 +268,41 @@ def test_graph_memo_shared_across_threads():
     assert mismatches == []
 
 
+def test_explicit_rows_shared_across_threads():
+    # The l2 rows are filled on first use.  Threads on one oracle, with a
+    # short switch interval, interleave inside l2 while the rows fill: a
+    # race on a row must cost work, never an answer.
+    rng = random.Random(77)
+    n = 12
+    family = [IdSet._from_mask(n, m) for m in {rng.getrandbits(n) << 1 | 2 for _ in range(200)}]
+    shared = ExplicitFamilyOracle(n, family)
+    jobs = []
+    for _ in range(6):
+        hulls = [rng.getrandbits(n) << 1 for _ in range(200)]
+        fresh = ExplicitFamilyOracle(n, family)
+        jobs.append([(ym, fresh._l2_masks(n, ym)) for ym in hulls])
+    mismatches = []
+
+    def work(queries):
+        for ym, want in queries:
+            if shared._l2_masks(n, ym) != want:
+                mismatches.append(ym)
+
+    threads = [threading.Thread(target=work, args=(q,)) for q in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+    assert any(row is not None for row in shared._rows)
+
+
 def reference_l1(family, x, y):
     """The maximal-then-least scan on IdSet operations."""
     candidates = [c for c in family if x.issubset(c) and c.issubset(y)]
@@ -314,3 +351,41 @@ def test_explicit_mask_scans_match_idset_reference(seed):
             maximal_over_x = [m for m in reference_l2(family, y) if x.issubset(m)]
             ties += len(maximal_over_x) > 1
     assert ties > 0
+
+
+@st.composite
+def families_and_queries(draw):
+    """A family of 1 to 150 members over ``[1, n]`` and queries ``(x, y)`` on it."""
+    n = draw(st.integers(1, 9))
+    size = draw(st.integers(1, min(150, (1 << n) - 1)))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=size, max_size=size,
+                          unique=True))
+    family = [IdSet._from_mask(n, m << 1) for m in masks]
+    queries = draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1),
+                                      st.integers(0, (1 << n) - 1)), max_size=6))
+    return n, family, [(xm << 1, ym << 1) for xm, ym in queries]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=families_and_queries())
+# n = 1; an l1 with no answer ({1} is inside no member); a y that excludes
+# every member; 130 members, past two machine words of bitmap.
+@example(case=(1, [IdSet(1, [1])], [(0b10, 0b10), (0, 0)]))
+@example(case=(3, [IdSet(3, [2]), IdSet(3, [2, 3])],
+                 [(0b10, 0b1110), (0b10, 0b10), (0b100, 0b100)]))
+@example(case=(8, [IdSet._from_mask(8, m << 1) for m in range(1, 256, 2)]
+                  + [IdSet(8, [2]), IdSet(8, [4])], [(0b100, 0b111111110), (0b100, 0b10100)]))
+def test_explicit_bitmap_index_matches_reference(case):
+    n, family, queries = case
+    oracle = ExplicitFamilyOracle(n, family)
+    for xm, ym in queries:
+        y = IdSet._from_mask(n, ym)
+        maximal = reference_l2(family, y)
+        assert oracle._l2_masks(n, ym) == [c._mask for c in maximal]
+        for c in family:
+            if c.issubset(y):
+                assert oracle._maximal_mask(n, c._mask, ym) == (c in maximal)
+        xm &= ym
+        if xm:
+            z = reference_l1(family, IdSet._from_mask(n, xm), y)
+            assert oracle._l1_mask(n, xm, ym) == (None if z is None else z._mask)

@@ -5,6 +5,8 @@ CLI's ``--format json`` stream on larger inputs, so a change to the
 traversal order, the parent choice or the oracles' tie-breaks shows even
 where ``--verify`` cannot follow.  The ``--stats`` counts beside them pin
 the oracle work: a change that only removes overhead keeps them exact.
+The explicit families here are small enough for the brute-force
+reference, so the last tests check their whole output against it.
 """
 
 import hashlib
@@ -12,7 +14,12 @@ import io
 import json
 import random
 
+import pytest
+
+from polyenum import ExplicitFamilyOracle, Instance, enumerate_all, enumerate_components
 from polyenum.cli import run
+from polyenum.core import lex_sort_key
+from polyenum.testkit import brute_force_solutions
 
 
 def sparse_graph_doc(seed, n, q):
@@ -104,3 +111,30 @@ def test_explicit_nested_chains_30_elements(tmp_path):
     assert digest == "2df3ab5751a7f9d2bc5b69dd9072e6f8cb4e35301bd1410a34451544f57493f6"
     assert stats(tmp_path, doc) == {
         "l1_calls": 2066, "l2_calls": 618, "rho_calls": 126, "traversal_calls": 125}
+
+
+def nested_chain_instance(seed):
+    doc = nested_chain_doc(seed, 30, 12, 20)
+    family = doc["system"]["components"]
+    # Several machine words of member bitmap per element.
+    assert 400 <= len(family) <= 500
+    return Instance(30, 12, doc["sigma"], ExplicitFamilyOracle(30, family))
+
+
+@pytest.mark.parametrize("seed", range(100, 110))
+def test_nested_chains_match_brute_force(seed):
+    inst = nested_chain_instance(seed)
+    got = []
+    enumerate_all(inst, sink=got.append)
+    got.sort(key=lambda s: (s.k, lex_sort_key(s.elements)))
+    assert got == brute_force_solutions(inst)
+
+
+@pytest.mark.parametrize("seed", range(100, 110))
+def test_nested_chains_components_are_the_family(seed):
+    oracle = nested_chain_instance(seed).oracle
+    got = []
+    enumerate_components(oracle, 30, sink=got.append)
+    elements = [s.elements for s in got]
+    assert len(elements) == len(set(elements))
+    assert set(elements) == set(oracle.family)
