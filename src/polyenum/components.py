@@ -9,7 +9,7 @@ enumerator on that instance therefore yields exactly the component family.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional
 
 from .core import Instance, OracleStats, SetSystemOracle, VolumeFunction, check_universe
 from .enumerator import EmitSink, enumerate_all
@@ -47,6 +47,11 @@ class ReducedInstance(Instance):
 
     def _hull_mask(self, items: int) -> int:
         return self._full & ~items
+
+    def _l2_by_slice(self, tm: int) -> Callable[[int], List[int]]:
+        # The slice of j is the universe minus j, and the scan asks only
+        # for the j in tm, so each query is l2(tm - j): the oracle's hook.
+        return self.oracle._l2_without(self.n, tm)
 
 
 def enumerate_components(

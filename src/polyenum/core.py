@@ -13,7 +13,7 @@ safe to share read-only across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 
 class ContractError(ValueError):
@@ -138,10 +138,9 @@ def subset_lex_leq(a: IdSet, b: IdSet) -> bool:
 
 def lex_sort_key(s: IdSet) -> int:
     """Sort key realizing subset_lex_less: ascending keys follow the order."""
-    rev = 0
-    for i in s:
-        rev |= 1 << (s.capacity - i)
-    return -rev
+    # Bit i of the mask moves to bit capacity - i, so a smaller id weighs
+    # more; reversing the mask's bit string does that in one step.
+    return -int(format(s._mask, f"0{s.capacity + 1}b")[::-1], 2)
 
 
 def _answer_mask(n: int, answer: object, query: str) -> int:
@@ -180,6 +179,12 @@ class SetSystemOracle:
     shipped backends answer on masks directly.
     Whether a known component is maximal inside ``y`` it asks through
     ``_maximal_mask``, counted as one ``l1`` call; see there.
+    In components mode the child scan of a component ``t`` asks
+    ``l2(t - j)`` for each of its elements ``j`` in turn, through the
+    function ``_l2_without`` returns.  The default answers each ``j``
+    with ``_l2_masks`` when it is asked, so a custom backend sees the same
+    ``l2`` queries in the same order.  An override may work all of them
+    out at once, as the graph backend does.
     """
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
@@ -200,6 +205,16 @@ class SetSystemOracle:
     def _l2_masks(self, n: int, ym: int) -> List[int]:
         """``l2`` on masks over ``[1, n]``, in the same order."""
         return [_answer_mask(n, c, "l2") for c in self.l2(IdSet._from_mask(n, ym))]
+
+    def _l2_without(self, n: int, tm: int) -> Callable[[int], List[int]]:
+        """The function ``j`` to ``_l2_masks(n, tm - j)``, for ``j`` in ``tm``.
+
+        Asked only for a ``j`` that leaves ``tm - j`` non-empty.  ``tm`` is
+        the node of a child scan: a component, unless ``children`` or
+        ``descendants`` is handed a record whose elements are not one.  The
+        default asks ``_l2_masks`` once per call, when it is made.
+        """
+        return lambda j: self._l2_masks(n, tm & ~(1 << j))
 
     def _maximal_mask(self, n: int, cm: int, ym: int) -> bool:
         """Whether the component ``cm`` is maximal within ``ym``, on masks.
@@ -332,6 +347,11 @@ class Instance:
     def _slice_mask(self, i: int) -> int:
         """Elements carrying item ``i``; item 0 means all."""
         return self._item_masks[i]
+
+    def _l2_by_slice(self, tm: int) -> Callable[[int], List[int]]:
+        """The child scan's ``l2`` queries: ``j`` to ``l2(tm & slice(j))``."""
+        oracle, n = self.oracle, self.n
+        return lambda j: oracle._l2_masks(n, tm & self._slice_mask(j))
 
     def _common_mask(self, xm: int) -> int:
         """Items carried by every element of the non-empty ``xm``."""

@@ -207,21 +207,24 @@ class _Run:
         ``k``, when ``j`` is the smallest new item it gains over ``t``
         (each child is generated for exactly one ``j``), when it is a
         solution, and when its computed parent is ``t`` itself.  Checks
-        run cheapest first; the parent recomputation dominates.
+        run cheapest first; the parent recomputation dominates.  The
+        instance hands out the ``l2`` answers per ``j``, so a backend may
+        work out those of one ``t`` together; each still counts as one call.
         """
         inst = self.inst
         tm, tim, k = t.elements._mask, t.items._mask, t.k
         if not k:
             return  # no group-0 solution has children: no l2 query needed
         kbit = 1 << k
+        l2_in_slice = inst._l2_by_slice(tm)
         for j in range(k + 1, inst.q + 1):
             jbit = 1 << j
             if tim & jbit:
                 continue
-            y = tm & inst._slice_mask(j)
-            if not y:
+            if not tm & inst._slice_mask(j):
                 continue  # oracles only take non-empty queries
-            for cm in self.l2(y):
+            self.stats.l2_calls += 1  # one l2(tm & slice(j)), however answered
+            for cm in l2_in_slice(j):
                 im = inst._common_mask(cm)
                 if im & -im != kbit:
                     continue  # another group

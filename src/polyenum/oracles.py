@@ -13,12 +13,17 @@ envelope of the enumeration does not depend on either memo.
 
 Both backends answer the enumerator's mask queries (``_l1_mask``,
 ``_l2_masks``) directly; their public ``l1``/``l2`` check the query and
-wrap those answers in :class:`IdSet`.
+wrap those answers in :class:`IdSet`.  For the components-mode child
+scan, which asks ``l2(t - j)`` for each ``j`` of a component ``t``, the
+explicit backend keeps the lazy default of ``_l2_without`` (one
+``_l2_masks`` query per ``j``).  The graph backend answers every ``j``
+from one depth-first sweep of ``t`` instead, and keeps only the subtrees
+that sweep cuts off, O(|t|) memory per scan in progress.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import ContractError, IdSet, SetSystemOracle, lex_sort_key
 
@@ -167,7 +172,9 @@ class GraphConnectivityOracle(SetSystemOracle):
     Consecutive ``l1`` queries on one hull reuse the components already
     swept there.  The maximality probe runs no sweep: a connected set is
     maximal within ``y`` exactly when no vertex of ``y`` outside it is
-    adjacent to it.
+    adjacent to it.  ``_l2_without`` runs one depth-first sweep of a
+    component and answers ``l2(t - j)`` for every ``j`` from its cut
+    vertices.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
@@ -257,6 +264,68 @@ class GraphConnectivityOracle(SetSystemOracle):
         # Seeds were taken in ascending order and the components are
         # disjoint, so this is already sorted by subset_lex_less.
         return comps
+
+    def _l2_without(self, n: int, tm: int) -> Callable[[int], List[int]]:
+        # One depth-first sweep of tm finds its cut vertices by low points
+        # (Hopcroft and Tarjan, 1973).  A child c of j whose subtree has no
+        # edge above j (low[c] >= disc[j]) is a component of tm - j on its
+        # own; the rest of tm - j, which holds the root unless j is the
+        # root, is one more.  Only those subtrees are kept, per vertex j,
+        # so the answers take O(|tm|) memory together.
+        adj = self._adj
+        root = (tm & -tm).bit_length() - 1
+        disc = {root: 0}
+        low = {root: 0}
+        cuts: Dict[int, List[int]] = {}
+        # Each entry is a vertex on the tree path and the vertices seen
+        # before it, so its subtree is what has been seen since.
+        stack = [(root, 0)]
+        seen = 1 << root
+        while stack:
+            v, before = stack[-1]
+            nxt = adj[v] & tm & ~seen
+            if nxt:
+                bit = nxt & -nxt
+                w = bit.bit_length() - 1
+                # Every neighbour of w seen so far is on the stack: in an
+                # undirected depth-first sweep an edge joins an ancestor
+                # and a descendant.
+                d = lo = len(disc)
+                back = adj[w] & seen
+                while back:
+                    lsb = back & -back
+                    u = disc[lsb.bit_length() - 1]
+                    if u < lo:
+                        lo = u
+                    back ^= lsb
+                disc[w] = d
+                low[w] = lo
+                stack.append((w, seen))
+                seen |= bit
+                continue
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                if low[v] >= disc[p]:
+                    cuts.setdefault(p, []).append(seen & ~before)
+                elif low[v] < low[p]:
+                    low[p] = low[v]
+        if seen != tm:
+            return super()._l2_without(n, tm)  # not connected: ask per j
+
+        def answer(j: int) -> List[int]:
+            rest = tm & ~(1 << j)
+            parts = cuts.get(j)
+            if parts is None:
+                return [rest]
+            for c in parts:
+                rest &= ~c
+            # Disjoint sets follow subset_lex_less by least element, and
+            # the rest, which holds the least element of tm, comes first.
+            comps = sorted(parts, key=lambda c: c & -c)
+            return [rest] + comps if rest else comps
+
+        return answer
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
         comp = self._l1_mask(self.n, *_l1_query(self.n, x, y))

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyenum import (
     ContractError,
@@ -104,6 +106,22 @@ def test_lex_sort_key_matches_comparator():
     by_key = sorted(subsets, key=lex_sort_key)
     for a, b in zip(by_key, by_key[1:]):
         assert subset_lex_less(a, b)
+
+
+def lex_sort_key_by_loop(s):
+    """The key built one member at a time: member ``i`` weighs ``2**(capacity - i)``."""
+    rev = 0
+    for i in s:
+        rev |= 1 << (s.capacity - i)
+    return -rev
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(capacity=st.integers(0, 200), data=st.data())
+def test_lex_sort_key_from_the_mask_matches_the_loop(capacity, data):
+    m = data.draw(st.integers(0, (1 << capacity) - 1)) << 1 if capacity else 0
+    s = IdSet._from_mask(capacity, m)
+    assert lex_sort_key(s) == lex_sort_key_by_loop(s)
 
 
 class TestInstanceQueries:

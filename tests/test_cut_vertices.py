@@ -1,0 +1,208 @@
+"""The child scan's ``l2(t - j)`` queries in components mode.
+
+``ReducedInstance`` asks them through ``SetSystemOracle._l2_without``.
+The default answers each ``j`` with its own ``_l2_masks`` query; the
+graph backend works out every ``j`` from one depth-first sweep of ``t``.
+Both must give exactly what ``_l2_masks(n, t - j)`` gives.
+"""
+
+import hashlib
+import itertools
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from polyenum import (
+    ContractError,
+    ExplicitFamilyOracle,
+    GraphConnectivityOracle,
+    IdSet,
+    OracleStats,
+    ReducedInstance,
+    SetSystemOracle,
+    children,
+    enumerate_components,
+    make_solution,
+)
+from polyenum.core import lex_sort_key
+from polyenum.testkit import brute_force_solutions
+
+# Triangles 1-2-3 and 3-4-5 sharing vertex 3, then the path 5-6-7-8:
+# cut vertices 3, 5, 6 and 7 (docs/bowtie.json holds the same graph).
+BOWTIE = (8, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6), (6, 7), (7, 8)])
+# Vertex 1, the least and so the root of the sweep, has four children.
+STAR = (5, [(1, 2), (1, 3), (1, 4), (1, 5)])
+# The root's first child is 3, its second 5; 5's subtree holds 2, so the
+# components of t - 1 are not in the order the sweep found them.
+SWAPPED = (5, [(1, 3), (1, 5), (2, 5), (4, 5)])
+
+
+def mask(*ids):
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
+
+
+def agrees_with_l2(oracle, n, tm):
+    """Ask the hook for every ``j`` of ``tm`` with ``tm - j`` non-empty."""
+    answer = oracle._l2_without(n, tm)
+    asked = 0
+    rest = tm
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if tm & ~bit:
+            assert answer(bit.bit_length() - 1) == oracle._l2_masks(n, tm & ~bit)
+            asked += 1
+    return asked
+
+
+class TestGraphHook:
+    def test_cut_vertices_leaves_and_root(self):
+        n, edges = BOWTIE
+        g = GraphConnectivityOracle(n, edges)
+        answer = g._l2_without(n, mask(*range(1, 9)))
+        assert answer(1) == [mask(*range(2, 9))]  # the root, with one child
+        assert answer(2) == [mask(1, *range(3, 9))]
+        assert answer(3) == [mask(1, 2), mask(*range(4, 9))]
+        assert answer(5) == [mask(1, 2, 3, 4), mask(6, 7, 8)]
+        assert answer(7) == [mask(*range(1, 7)), mask(8)]
+        assert answer(8) == [mask(*range(1, 8))]  # a leaf
+
+    def test_root_with_several_children(self):
+        n, edges = STAR
+        g = GraphConnectivityOracle(n, edges)
+        assert g._l2_without(n, mask(1, 2, 3, 4, 5))(1) == [mask(2), mask(3), mask(4), mask(5)]
+        n, edges = SWAPPED
+        g = GraphConnectivityOracle(n, edges)
+        answer = g._l2_without(n, mask(1, 2, 3, 4, 5))
+        assert answer(1) == [mask(2, 4, 5), mask(3)]
+        assert answer(5) == [mask(1, 3), mask(2), mask(4)]
+
+    def test_two_vertices_leave_singletons(self):
+        g = GraphConnectivityOracle(3, [(2, 3)])
+        answer = g._l2_without(3, mask(2, 3))
+        assert answer(2) == [mask(3)]
+        assert answer(3) == [mask(2)]
+
+    def test_disconnected_set_is_answered_per_element(self):
+        g = GraphConnectivityOracle(6, [(1, 2), (2, 3), (5, 6)])
+        assert agrees_with_l2(g, 6, mask(1, 2, 3, 5, 6)) == 5
+
+    def test_children_of_a_disconnected_record_match_the_default(self):
+        # children() checks a record's items, not that its elements are
+        # connected, so the scan can be handed a disconnected set; the
+        # outcome, a list or an error, must not depend on the hook.
+        g = GraphConnectivityOracle(6, [(1, 2), (2, 3), (5, 6)])
+
+        def outcome(oracle, ids):
+            inst = ReducedInstance(6, oracle)
+            try:
+                return children(inst, make_solution(inst, IdSet(6, ids)))
+            except ContractError as e:
+                return str(e)
+
+        for r in range(2, 6):
+            for ids in itertools.combinations(range(1, 7), r):
+                assert outcome(g, ids) == outcome(LoggingOracle(g), ids)
+
+
+@st.composite
+def graphs_and_hulls(draw, max_n=40):
+    """A sparse simple graph on ``[1, n]`` and a vertex set ``ym`` inside it."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    ym = draw(st.integers(0, (1 << n) - 1)) << 1
+    return n, edges, ym
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=graphs_and_hulls())
+@example(case=(1, [], 0b10))
+@example(case=(4, [], 0b11110))  # singletons only: nothing to ask
+@example(case=(5, [(1, 2), (2, 3), (3, 4), (4, 5)], 0b111110))  # a path: leaves and cuts
+@example(case=BOWTIE + (mask(*range(1, 9)),))
+@example(case=STAR + (mask(*range(1, 6)),))
+@example(case=SWAPPED + (mask(*range(1, 6)),))
+@example(case=(40, [(i, i + 1) for i in range(1, 40)], mask(*range(1, 41))))
+def test_graph_hook_matches_l2_on_every_component(case):
+    n, edges, ym = case
+    g = GraphConnectivityOracle(n, edges)
+    full = (1 << (n + 1)) - 2
+    for hull in (full, ym):
+        if hull:
+            for tm in g._l2_masks(n, hull):
+                agrees_with_l2(g, n, tm)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=graphs_and_hulls(max_n=12))
+@example(case=BOWTIE + (0,))
+@example(case=STAR + (0,))
+def test_components_mode_matches_brute_force(case):
+    n, edges, _ = case
+    g = GraphConnectivityOracle(n, edges)
+    got = []
+    enumerate_components(g, n, sink=got.append)
+    want = brute_force_solutions(ReducedInstance(n, g))
+    assert len(got) == len(set(got))
+    assert sorted(got, key=lambda s: (s.k, lex_sort_key(s.elements))) == want
+
+
+class LoggingOracle(SetSystemOracle):
+    """A custom backend: only ``l1`` and ``l2``, each ``l2`` query logged."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.l2_log = []
+
+    def l1(self, x, y):
+        return self.inner.l1(x, y)
+
+    def l2(self, y):
+        self.l2_log.append(y._mask)
+        return self.inner.l2(y)
+
+
+CYCLE10 = (10, [(i, i % 10 + 1) for i in range(1, 11)])
+GNP11 = (11, [(1, 2), (1, 5), (1, 10), (1, 11), (2, 6), (2, 9), (3, 4), (3, 5), (3, 9),
+              (3, 11), (4, 5), (4, 8), (4, 9), (4, 10), (5, 6), (5, 7), (5, 11), (6, 9)])
+
+
+# The l2 queries a custom backend receives in components mode, as a count
+# and a digest of the masks in order.  Recorded before the graph backend
+# answered the child scan from one sweep; a custom backend takes the
+# default hook, so they must not move.
+@pytest.mark.parametrize(
+    "graph, queries, digest",
+    [(BOWTIE, 163, "1608e9ebf2e84bb5"), (CYCLE10, 287, "508b6891e042e0f2"),
+     (GNP11, 3878, "8a011c547f64660e")],
+    ids=["bowtie", "cycle10", "gnp11"],
+)
+def test_custom_backend_sees_the_same_l2_queries(graph, queries, digest):
+    n, edges = graph
+    g = GraphConnectivityOracle(n, edges)
+    logged = LoggingOracle(g)
+    stats, out = OracleStats(), []
+    enumerate_components(logged, n, sink=out.append, stats=stats)
+    assert stats.l2_calls == len(logged.l2_log) == queries
+    assert hashlib.sha256(",".join(map(hex, logged.l2_log)).encode()).hexdigest()[:16] == digest
+    # The graph backend's own path emits the same records and counts.
+    direct_stats, direct = OracleStats(), []
+    enumerate_components(g, n, sink=direct.append, stats=direct_stats)
+    assert direct == out
+    assert direct_stats.as_dict() == stats.as_dict()
+
+
+def test_explicit_backend_takes_the_default_hook():
+    family = [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]
+    o = ExplicitFamilyOracle(3, family)
+    answer = o._l2_without(3, mask(1, 2, 3))
+    assert [answer(j) for j in (1, 2, 3)] == [[mask(2, 3)], [mask(1), mask(3)], [mask(1, 2)]]
+    got = []
+    enumerate_components(o, 3, sink=got.append)
+    assert {s.elements for s in got} == {IdSet(3, c) for c in family}
