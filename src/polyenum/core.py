@@ -177,8 +177,8 @@ class SetSystemOracle:
     enumerator makes on a backend: every query it builds from non-empty
     components meets the ``l1`` precondition by construction.  The
     shipped backends answer on masks directly.
-    Whether a known component is maximal inside ``y`` it asks through
-    ``_maximal_mask``, counted as one ``l1`` call; see there.
+    Two optional hooks are asked about components only.  Whether one is
+    maximal inside ``y`` goes to ``_maximal_mask``, counted as one ``l1``.
     In components mode the child scan of a component ``t`` asks
     ``l2(t - j)`` for each of its elements ``j`` in turn, through the
     function ``_l2_without`` returns.  The default answers each ``j``
@@ -209,9 +209,7 @@ class SetSystemOracle:
     def _l2_without(self, n: int, tm: int) -> Callable[[int], List[int]]:
         """The function ``j`` to ``_l2_masks(n, tm - j)``, for ``j`` in ``tm``.
 
-        Asked only for a ``j`` that leaves ``tm - j`` non-empty.  ``tm`` is
-        the node of a child scan: a component, unless ``children`` or
-        ``descendants`` is handed a record whose elements are not one.  The
+        ``tm`` is a component, and ``j`` leaves ``tm - j`` non-empty.  The
         default asks ``_l2_masks`` once per call, when it is made.
         """
         return lambda j: self._l2_masks(n, tm & ~(1 << j))

@@ -57,17 +57,12 @@ EmitSink = Callable[[Solution], None]
 def make_solution(inst: Instance, elements: IdSet) -> Solution:
     """Bundle an element set with its common items and group id.
 
-    Does not check that ``elements`` is a component, let alone a solution.
-    :func:`parent`, :func:`children` and :func:`descendants` take only the
-    records it builds, and raise :class:`ContractError` on any other.
+    Asks no query, so it does not check that ``elements`` is a solution.
+    :func:`parent`, :func:`children` and :func:`descendants` do, and take
+    only the records it builds: any other raises :class:`ContractError`.
     """
     items = inst.common_item_set(elements)
     return Solution(elements, items, items.min_id())
-
-
-def _check_record(inst: Instance, t: Solution) -> None:
-    if make_solution(inst, t.elements) != t:
-        raise ContractError(f"{t!r} differs from make_solution(inst, t.elements)")
 
 
 class _Run:
@@ -81,9 +76,9 @@ class _Run:
     Nothing here re-checks a query.  Each ``l1`` query asks about a
     non-empty component, or one grown from it, inside a hull that holds
     it, so it meets the precondition by construction.  The inputs are
-    checked where they enter: a record by the public functions, a custom
-    backend's answer by the :class:`SetSystemOracle` adapter, which
-    rejects an empty component.
+    checked where they enter: a record by :func:`_solution_run`, so every
+    node of a run is a solution, and a custom backend's answer by the
+    :class:`SetSystemOracle` adapter, which rejects an empty component.
     """
 
     __slots__ = ("inst", "oracle", "n", "stats", "rho", "sink")
@@ -276,6 +271,28 @@ def is_solution(
     return _Run(inst, stats).is_solution(component._mask, items._mask)
 
 
+def _solution_run(
+    inst: Instance,
+    t: Solution,
+    stats: Optional[OracleStats],
+    rho: Optional[VolumeFunction] = None,
+    sink: Optional[EmitSink] = None,
+    needs_parent: bool = False,
+) -> _Run:
+    """A run of the building blocks from ``t``, once ``t`` is a solution.
+
+    Cheapest check first; only the last asks a query, one counted ``l1``.
+    """
+    if make_solution(inst, t.elements) != t:
+        raise ContractError(f"{t!r} differs from make_solution(inst, t.elements)")
+    if needs_parent and not 1 <= t.k <= inst.q - 1:
+        raise ContractError(f"solutions in group {t.k} are roots and have no parent")
+    run = _Run(inst, stats, rho, sink)
+    if not run.is_solution(t.elements._mask, t.items._mask):
+        raise ContractError(f"{t.elements!r} is not a solution")
+    return run
+
+
 def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> Solution:
     """Return the parent of a non-root solution ``s``.
 
@@ -284,10 +301,7 @@ def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> 
     Raises :class:`ContractError` when ``s`` is a root of its group, which
     includes every solution with ``k`` equal to 0 or to the item count.
     """
-    _check_record(inst, s)
-    if not 1 <= s.k <= inst.q - 1:
-        raise ContractError(f"solutions in group {s.k} are roots and have no parent")
-    run = _Run(inst, stats)
+    run = _solution_run(inst, s, stats, needs_parent=True)
     return run.solution(*run._parent(s.elements._mask, s.items._mask, s.k))
 
 
@@ -295,8 +309,7 @@ def children(
     inst: Instance, t: Solution, stats: Optional[OracleStats] = None
 ) -> List[Solution]:
     """All children of ``t`` in its group, each once, in traversal order."""
-    _check_record(inst, t)
-    return list(_Run(inst, stats).child_candidates(t))
+    return list(_solution_run(inst, t, stats).child_candidates(t))
 
 
 def descendants(
@@ -311,8 +324,7 @@ def descendants(
     ``t`` is expanded as a root: its children follow their subtrees, its
     grandchildren precede theirs, and so on by generation.
     """
-    _check_record(inst, t)
-    _Run(inst, stats, rho, sink).descend(t)
+    _solution_run(inst, t, stats, rho, sink).descend(t)
 
 
 def enumerate_k(

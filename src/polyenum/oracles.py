@@ -12,13 +12,14 @@ the components its ``l1`` queries found in the last hull, O(n) memory.
 envelope of the enumeration does not depend on either memo.
 
 Both backends answer the enumerator's mask queries (``_l1_mask``,
-``_l2_masks``) directly; their public ``l1``/``l2`` check the query and
-wrap those answers in :class:`IdSet`.  For the components-mode child
-scan, which asks ``l2(t - j)`` for each ``j`` of a component ``t``, the
-explicit backend keeps the lazy default of ``_l2_without`` (one
-``_l2_masks`` query per ``j``).  The graph backend answers every ``j``
-from one depth-first sweep of ``t`` instead, and keeps only the subtrees
-that sweep cuts off, O(|t|) memory per scan in progress.
+``_l2_masks``) directly.  They share one public ``l1``/``l2``, which
+checks the query and wraps each mask answer in a fresh :class:`IdSet`.
+For the components-mode child scan, which asks ``l2(t - j)`` for each
+``j`` of a component ``t``, the explicit backend keeps the lazy default
+of ``_l2_without`` (one ``_l2_masks`` query per ``j``).  The graph
+backend answers every ``j`` from one depth-first sweep of ``t`` instead,
+and keeps only the subtrees that sweep cuts off, O(|t|) memory per scan
+in progress.  The enumerator asks both hooks about components only.
 """
 
 from __future__ import annotations
@@ -28,25 +29,31 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .core import ContractError, IdSet, SetSystemOracle, lex_sort_key
 
 
-def _mask_over(n: int, s: IdSet) -> int:
-    if s.capacity != n:
-        raise ValueError(
-            f"element set over [1, {s.capacity}] queried on a backend over [1, {n}]"
-        )
-    return s._mask
+class _MaskBackend(SetSystemOracle):
+    """One public ``l1``/``l2``: check the query, wrap each mask answer in a new IdSet."""
+
+    def _query_mask(self, s: IdSet) -> int:
+        if s.capacity != self.n:
+            raise ValueError(
+                f"element set over [1, {s.capacity}] queried on a backend over [1, {self.n}]"
+            )
+        return s._mask
+
+    def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
+        xm, ym = self._query_mask(x), self._query_mask(y)
+        if not xm:
+            raise ContractError("l1 requires a non-empty lower bound set")
+        if xm & ~ym:
+            raise ContractError("l1 requires the lower bound to sit inside the upper bound")
+        m = self._l1_mask(self.n, xm, ym)
+        return None if m is None else IdSet._from_mask(self.n, m)
+
+    def l2(self, y: IdSet) -> List[IdSet]:
+        n = self.n
+        return [IdSet._from_mask(n, m) for m in self._l2_masks(n, self._query_mask(y))]
 
 
-def _l1_query(n: int, x: IdSet, y: IdSet) -> Tuple[int, int]:
-    """The masks of a public ``l1`` query: ``x`` non-empty and inside ``y``."""
-    xm, ym = _mask_over(n, x), _mask_over(n, y)
-    if not xm:
-        raise ContractError("l1 requires a non-empty lower bound set")
-    if xm & ~ym:
-        raise ContractError("l1 requires the lower bound to sit inside the upper bound")
-    return xm, ym
-
-
-class ExplicitFamilyOracle(SetSystemOracle):
+class ExplicitFamilyOracle(_MaskBackend):
     """A set system whose component family is listed member by member.
 
     The F members are put in subset order (:func:`subset_lex_less`) once,
@@ -70,8 +77,7 @@ class ExplicitFamilyOracle(SetSystemOracle):
         if n < 1:
             raise ValueError("need at least one element")
         self.n = n
-        # The stored member behind each mask, in input order, for the
-        # public answers; it is also what catches a duplicate member.
+        # Each member by its mask, in input order: catches a duplicate.
         members: Dict[int, IdSet] = {}
         for idx, raw in enumerate(family):
             if isinstance(raw, IdSet):
@@ -92,7 +98,6 @@ class ExplicitFamilyOracle(SetSystemOracle):
                 raise ValueError(f"family[{idx}]: duplicate component {sorted(c)}")
             members[c._mask] = c
         self.family: Tuple[IdSet, ...] = tuple(members.values())
-        self._members = members
         # The members' masks in subset order: bit r of every bitmap below
         # stands for self._masks[r].
         self._masks: Tuple[int, ...] = tuple(
@@ -150,18 +155,11 @@ class ExplicitFamilyOracle(SetSystemOracle):
             cand &= row
         return kept
 
-    def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
-        m = self._l1_mask(self.n, *_l1_query(self.n, x, y))
-        return None if m is None else self._members[m]
-
-    def l2(self, y: IdSet) -> List[IdSet]:
-        return [self._members[m] for m in self._l2_masks(self.n, _mask_over(self.n, y))]
-
     def delta_hint(self) -> int:
         return len(self.family)
 
 
-class GraphConnectivityOracle(SetSystemOracle):
+class GraphConnectivityOracle(_MaskBackend):
     """Components are the non-empty vertex sets inducing a connected subgraph.
 
     The graph is simple and undirected, with vertices in ``[1, n]``; the
@@ -266,12 +264,13 @@ class GraphConnectivityOracle(SetSystemOracle):
         return comps
 
     def _l2_without(self, n: int, tm: int) -> Callable[[int], List[int]]:
-        # One depth-first sweep of tm finds its cut vertices by low points
-        # (Hopcroft and Tarjan, 1973).  A child c of j whose subtree has no
-        # edge above j (low[c] >= disc[j]) is a component of tm - j on its
-        # own; the rest of tm - j, which holds the root unless j is the
-        # root, is one more.  Only those subtrees are kept, per vertex j,
-        # so the answers take O(|tm|) memory together.
+        # tm is a component, so one depth-first sweep reaches all of it and
+        # finds its cut vertices by low points (Hopcroft and Tarjan, 1973).
+        # A child c of j whose subtree has no edge above j (low[c] >=
+        # disc[j]) is a component of tm - j on its own; the rest of tm - j,
+        # which holds the root unless j is the root, is one more.  Only
+        # those subtrees are kept, per vertex j, so the answers take
+        # O(|tm|) memory together.
         adj = self._adj
         root = (tm & -tm).bit_length() - 1
         disc = {root: 0}
@@ -310,8 +309,6 @@ class GraphConnectivityOracle(SetSystemOracle):
                     cuts.setdefault(p, []).append(seen & ~before)
                 elif low[v] < low[p]:
                     low[p] = low[v]
-        if seen != tm:
-            return super()._l2_without(n, tm)  # not connected: ask per j
 
         def answer(j: int) -> List[int]:
             rest = tm & ~(1 << j)
@@ -326,16 +323,6 @@ class GraphConnectivityOracle(SetSystemOracle):
             return [rest] + comps if rest else comps
 
         return answer
-
-    def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
-        comp = self._l1_mask(self.n, *_l1_query(self.n, x, y))
-        return None if comp is None else IdSet._from_mask(self.n, comp)
-
-    def l2(self, y: IdSet) -> List[IdSet]:
-        return [
-            IdSet._from_mask(self.n, c)
-            for c in self._l2_masks(self.n, _mask_over(self.n, y))
-        ]
 
     def delta_hint(self) -> int:
         return self.n

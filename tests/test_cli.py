@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import polyenum
-from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle
-from polyenum.cli import InstanceFormatError, parse_instance, run
+from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle, IdSet
+from polyenum.cli import InstanceFormatError, _verify, parse_instance, run
 from polyenum import testkit
 
 P3_DOC = {
@@ -255,6 +255,59 @@ class TestRun:
             del doc["sigma"]
             code, out, err = invoke(["--input", write_doc(tmp_path, doc), "--components"])
             assert (code, out, err) == (2, "", line)
+
+    @pytest.mark.parametrize(
+        "doc, args, line",
+        [
+            ([P3_DOC], [], "error: {path}: top level must be an object\n"),
+            ({**P3_DOC, "system": [[1, 2]]}, [], "error: system: expected an object\n"),
+            ({**P3_DOC, "system": {"kind": "graph", "edges": {"1": 2}}}, [],
+             "error: system.edges: expected a list of [u, v] pairs\n"),
+            ({**P3_DOC, "system": {"kind": "explicit", "components": "1 2"}}, [],
+             "error: system.components: expected a list of element-id lists\n"),
+            ({**P3_DOC, "sigma": {"1": [1]}}, [],
+             "error: sigma: expected a list of item-id lists\n"),
+            ({**P3_DOC, "sigma": [[1], 2, [2]]}, [],
+             "error: sigma[1]: expected a list of integers\n"),
+            ({**P3_DOC, "sigma": [[True], [1, 2], [2]]}, [],
+             "error: sigma[0]: expected integers, got True\n"),
+            ({**P3_DOC, "system": {"kind": "graph", "edges": [[1, 2.5]]}}, [],
+             "error: system.edges[0]: expected integers, got 2.5\n"),
+            (P3_DOC, ["--min-size", "-1"], "error: --min-size must be non-negative\n"),
+        ],
+        ids=["top-level", "system", "edges", "components", "sigma", "sigma-row", "true",
+             "float", "min-size"],
+    )
+    def test_input_shape_errors_exit_2(self, tmp_path, doc, args, line):
+        path = write_doc(tmp_path, doc)
+        code, out, err = invoke(["--input", path, *args])
+        assert (code, out, err) == (2, "", line.format(path=path))
+
+    def test_verify_reports_sets_never_emitted(self, tmp_path, monkeypatch):
+        real = testkit.brute_force_solutions
+
+        def one_more(inst):
+            # {1, 3} is not connected in the path, so nothing emits it
+            return real(inst) + [polyenum.make_solution(inst, IdSet(3, [1, 3]))]
+
+        monkeypatch.setattr(testkit, "brute_force_solutions", one_more)
+        code, out, err = invoke(["--input", write_doc(tmp_path, P3_DOC), "--verify"])
+        assert (code, out) == (1, P3_GOLDEN)
+        assert err == "verify: MISMATCH: 1 expected solutions never emitted\n"
+
+    def test_verify_reports_duplicate_records(self):
+        want = {IdSet(3, [2]), IdSet(3, [1, 2])}
+        err = io.StringIO()
+        assert not _verify(want, [IdSet(3, [2]), IdSet(3, [1, 2]), IdSet(3, [2])], err)
+        assert err.getvalue() == "verify: MISMATCH: duplicate records in the output\n"
+
+    @pytest.mark.parametrize("mode", [[], ["--components"]], ids=["solutions", "components"])
+    def test_empty_explicit_family_verifies(self, tmp_path, mode):
+        doc = {**P3_DOC, "system": {"kind": "explicit", "components": []}}
+        if mode:
+            del doc["sigma"]
+        code, out, err = invoke(["--input", write_doc(tmp_path, doc), "--verify", *mode])
+        assert (code, out, err) == (0, "", "verify: ok (0 records)\n")
 
     @pytest.mark.parametrize("mode", [[], ["--components"]], ids=["solutions", "components"])
     def test_verify_refuses_before_any_output(self, tmp_path, mode):

@@ -87,14 +87,10 @@ class TestGraphHook:
         assert answer(2) == [mask(3)]
         assert answer(3) == [mask(2)]
 
-    def test_disconnected_set_is_answered_per_element(self):
-        g = GraphConnectivityOracle(6, [(1, 2), (2, 3), (5, 6)])
-        assert agrees_with_l2(g, 6, mask(1, 2, 3, 5, 6)) == 5
-
     def test_children_of_a_disconnected_record_match_the_default(self):
-        # children() checks a record's items, not that its elements are
-        # connected, so the scan can be handed a disconnected set; the
-        # outcome, a list or an error, must not depend on the hook.
+        # children() rejects a record whose elements are not connected
+        # before any scan asks the hook, so the outcome, a list or an
+        # error, must not depend on the backend answering it.
         g = GraphConnectivityOracle(6, [(1, 2), (2, 3), (5, 6)])
 
         def outcome(oracle, ids):

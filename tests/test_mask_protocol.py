@@ -224,14 +224,6 @@ def test_backend_mask_queries_match_public_queries(make, seed):
     assert reused > 0 and replaced > 1
 
 
-def test_explicit_public_answers_are_the_stored_members():
-    family = [IdSet(4, [1, 2]), IdSet(4, [3]), IdSet(4, [1, 2, 3])]
-    oracle = ExplicitFamilyOracle(4, family)
-    assert oracle.l1(IdSet(4, [1]), IdSet(4, [1, 2, 3, 4])) is family[2]
-    maximal = oracle.l2(IdSet(4, [1, 2, 4]))
-    assert maximal == [family[0]] and maximal[0] is family[0]
-
-
 @pytest.mark.parametrize("backend", [GraphConnectivityOracle(3, P3_EDGES),
                                      ExplicitFamilyOracle(3, [[1], [1, 2]])],
                          ids=["graph", "explicit"])

@@ -12,10 +12,15 @@ from polyenum import (
     ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
+    Instance,
+    enumerate_all,
+    enumerate_components,
     subset_lex_less,
 )
 from polyenum.core import lex_sort_key
 from polyenum.testkit import materialize_components
+
+from test_cut_vertices import graphs_and_hulls
 
 
 def iset(n, *ids):
@@ -63,6 +68,19 @@ class TestExplicitFamily:
 
     def test_delta_hint(self):
         assert ExplicitFamilyOracle(3, [[1], [2]]).delta_hint() == 2
+
+    def test_empty_family_has_no_components(self):
+        oracle = ExplicitFamilyOracle(3, [])
+        assert oracle.l1(iset(3, 1), iset(3, 1, 2, 3)) is None
+        assert oracle.l2(iset(3, 1, 2, 3)) == []
+        got = []
+        enumerate_all(Instance(3, 2, [[1], [1, 2], [2]], oracle), sink=got.append)
+        enumerate_components(oracle, 3, sink=got.append)
+        assert got == []
+
+    def test_member_over_another_universe_rejected(self):
+        with pytest.raises(ValueError, match=r"^family\[1\]: universe size 4 != 3$"):
+            ExplicitFamilyOracle(3, [iset(3, 1), iset(4, 2)])
 
 
 class TestGraphConnectivity:
@@ -389,3 +407,59 @@ def test_explicit_bitmap_index_matches_reference(case):
         if xm:
             z = reference_l1(family, IdSet._from_mask(n, xm), y)
             assert oracle._l1_mask(n, xm, ym) == (None if z is None else z._mask)
+
+
+def union_find_components(edges, ym):
+    """The components of the subgraph induced on ``ym``, least vertex first."""
+    root = {v: v for v in range(ym.bit_length()) if ym >> v & 1}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in edges:
+        if u in root and v in root:
+            root[find(u)] = find(v)
+    comps = {}
+    for v in root:
+        comps[find(v)] = comps.get(find(v), 0) | 1 << v
+    return sorted(comps.values(), key=lambda c: c & -c)
+
+
+@st.composite
+def graph_queries(draw):
+    """``graphs_and_hulls``, plus ``l1`` lower bounds and two probe parts."""
+    n, edges, ym = draw(graphs_and_hulls())
+    masks = st.integers(0, (1 << n) - 1).map(lambda m: m << 1)
+    return n, edges, ym, draw(st.lists(masks, max_size=12)), draw(st.tuples(masks, masks))
+
+
+P40 = [(i, i + 1) for i in range(1, 40) if i % 7]  # paths of 7 vertices
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=graph_queries())
+@example(case=(1, [], 0b10, [0b10], (0b10, 0)))
+@example(case=(40, P40, (1 << 41) - 2, [1 << v for v in range(1, 41, 3)],
+               ((1 << 41) - 2, 0b111111011110)))
+def test_graph_answers_match_union_find(case):
+    n, edges, ym, lower, parts = case
+    g = GraphConnectivityOracle(n, edges)
+    full = (1 << (n + 1)) - 2
+    hulls = [h for h in (ym, full) if h]
+    want = {h: union_find_components(edges, h) for h in hulls}
+    for h in hulls:
+        assert g._l2_masks(n, h) == want[h]
+    # Two queries per hull, then the other hull: the memo slot is reused,
+    # then replaced.
+    for i, x in enumerate(lower):
+        h = hulls[i // 2 % len(hulls)]
+        xm = x & h
+        if xm:
+            z = next((c for c in want[h] if not xm & ~c), None)
+            assert g._l1_mask(n, xm, h) == z
+    # The probe is asked about components only: those of a part of the hull.
+    for h, part in zip(hulls, parts):
+        for cm in union_find_components(edges, h & part):
+            assert g._maximal_mask(n, cm, h) == (cm in want[h])
