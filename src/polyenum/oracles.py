@@ -14,12 +14,16 @@ envelope of the enumeration does not depend on either memo.
 Both backends answer the enumerator's mask queries (``_l1_mask``,
 ``_l2_masks``) directly.  They share one public ``l1``/``l2``, which
 checks the query and wraps each mask answer in a fresh :class:`IdSet`.
-For the components-mode child scan, which asks ``l2(t - j)`` for each
-``j`` of a component ``t``, the explicit backend keeps the lazy default
-of ``_l2_without`` (one ``_l2_masks`` query per ``j``).  The graph
-backend answers every ``j`` from one depth-first sweep of ``t`` instead,
-and keeps only the subtrees that sweep cuts off, O(|t|) memory per scan
-in progress.  The enumerator asks both hooks about components only.
+For the parent test's element pass, which asks ``l1(grown | b, y)`` for
+each element ``b`` left in a hull ``y``, and for the components-mode
+child scan, which asks ``l2(t - j)`` for each ``j`` of a component
+``t``, the explicit backend keeps the lazy defaults of ``_l1_growth``
+and ``_l2_without`` (one mask query per logical one).  The graph backend
+answers a whole element pass from the one component of ``y`` holding
+the grown solution, and every ``j`` from one depth-first sweep of ``t``,
+keeping only the subtrees that sweep cuts off, O(|t|) memory per scan
+in progress.  The enumerator asks all three optional hooks, the
+maximality probe included, about components only.
 """
 
 from __future__ import annotations
@@ -170,9 +174,10 @@ class GraphConnectivityOracle(_MaskBackend):
     Consecutive ``l1`` queries on one hull reuse the components already
     swept there.  The maximality probe runs no sweep: a connected set is
     maximal within ``y`` exactly when no vertex of ``y`` outside it is
-    adjacent to it.  ``_l2_without`` runs one depth-first sweep of a
-    component and answers ``l2(t - j)`` for every ``j`` from its cut
-    vertices.
+    adjacent to it.  ``_l1_growth`` answers a parent test's element pass
+    from the component of the hull holding the solution, taken once.
+    ``_l2_without`` runs one depth-first sweep of a component and answers
+    ``l2(t - j)`` for every ``j`` from its cut vertices.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
@@ -234,6 +239,23 @@ class GraphConnectivityOracle(_MaskBackend):
         if xm & ~comp:
             return None
         return comp
+
+    def _l1_growth(self, n: int, sm: int, ym: int) -> Callable[[int, int], int]:
+        # sm is connected, so it and everything grown from it lie in the
+        # one component of ym holding sm, and grown | b lies inside a
+        # component of ym exactly when b is in that one.  It answers every
+        # step; it is taken at the first step with elements left, from the
+        # memo or one sweep.
+        comp = 0
+
+        def first(grown: int, rest: int) -> int:
+            nonlocal comp
+            if rest and not comp:
+                comp = self._l1_mask(n, sm, ym)
+            rest &= comp
+            return rest & -rest
+
+        return first
 
     def _maximal_mask(self, n: int, cm: int, ym: int) -> bool:
         # cm is connected, so it is maximal iff no vertex of ym - cm is

@@ -12,6 +12,7 @@ from polyenum import (
     Instance,
     GraphConnectivityOracle,
     OracleStats,
+    ReducedInstance,
     subset_lex_leq,
     subset_lex_less,
 )
@@ -171,6 +172,73 @@ class TestInstanceQueries:
     def test_backend_for_another_universe_rejected(self, oracle, n):
         with pytest.raises(ValueError, match=rf"oracle over \[1, 3\] .* over \[1, {n}\]"):
             Instance(n, 1, [[1]] * n, oracle)
+
+
+class RowLog(list):
+    """The rows of ``Instance._sigma_masks``, logging each one read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = []
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return super().__getitem__(v)
+
+
+def common_by_slices(inst, xm):
+    """Items whose element slice holds all of ``xm``: the definition."""
+    m = 0
+    for i in range(1, inst.q + 1):
+        if not xm & ~inst._slice_mask(i):
+            m |= 1 << i
+    return m
+
+
+class TestCommonMask:
+    """``Instance._common_mask`` walks the elements' rows."""
+
+    SIGMA = [[1, 3], [], [1, 2, 3], [3], [1, 3, 4]]  # item 3 held by all but 2
+
+    def inst(self, sigma=SIGMA, q=4):
+        return Instance(len(sigma), q, sigma, GraphConnectivityOracle(len(sigma)))
+
+    def test_singleton_gives_its_row(self):
+        inst = self.inst()
+        for v in range(1, 6):
+            assert inst._common_mask(1 << v) == inst._sigma_mask(v)
+
+    def test_lowest_element_without_items_gives_0_after_one_row(self):
+        inst = self.inst()
+        inst._sigma_masks = RowLog(inst._sigma_masks)
+        assert inst._common_mask(0b111100) == 0  # elements 2, 3, 4, 5
+        assert inst._sigma_masks.read == [2]
+
+    def test_full_universe(self):
+        inst = self.inst()
+        assert inst._common_mask((1 << 6) - 2) == 0
+        without_2 = self.inst([row for row in self.SIGMA if row])
+        assert without_2._common_mask((1 << 5) - 2) == 1 << 3
+
+    def test_item_held_by_every_element(self):
+        sigma = [[2, 4], [1, 2], [2, 3, 4], [2]]
+        inst = self.inst(sigma)
+        for xm in range(2, 1 << 5, 2):
+            got = inst._common_mask(xm)
+            assert got == common_by_slices(inst, xm)
+            assert got >> 2 & 1
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_matches_the_slice_definition(self, seed):
+        inst, rng = random_small_instance(seed)
+        for xm in range(2, 1 << (inst.n + 1), 2):
+            assert inst._common_mask(xm) == common_by_slices(inst, xm)
+
+    def test_reduced_instance_keeps_the_complement(self):
+        red = ReducedInstance(5, GraphConnectivityOracle(5))
+        full = (1 << 6) - 2
+        for xm in range(2, 1 << 6, 2):
+            assert red._common_mask(xm) == full & ~xm
 
 
 def random_small_instance(seed):
