@@ -282,6 +282,10 @@ def _run(argv: Optional[List[str]], out: TextIO, err: TextIO) -> int:
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except MemoryError:
+        # elements or items too large for the per-id tables
+        print(f"error: {args.input}: instance too large to build", file=err)
+        return 2
 
     if args.k is not None and not 0 <= args.k <= inst.q:
         print(f"error: --k {args.k} outside [0, {inst.q}]", file=err)

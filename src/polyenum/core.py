@@ -177,17 +177,14 @@ class SetSystemOracle:
     enumerator makes on a backend: every query it builds from non-empty
     components meets the ``l1`` precondition by construction.  The
     shipped backends answer on masks directly.
-    Three optional hooks are asked about components only.  Whether one is
-    maximal inside ``y`` goes to ``_maximal_mask``, counted as one ``l1``.
-    The parent test grows a component ``s`` inside ``y`` one element at a
-    time, through the function ``_l1_growth`` returns: it names the
-    lowest element ``b`` left for which ``l1(grown | b, y)`` is not
-    ``None``.  Each element it passes over counts as one ``l1``: those up
-    to ``b`` included, or all that are left when there is no ``b``.  In components mode the child scan of a component ``t``
-    asks ``l2(t - j)`` for each of its elements ``j`` in turn, through the
-    function ``_l2_without`` returns.  The defaults of the last two ask
-    ``_l1_mask`` and ``_l2_masks`` once per logical query, when it is due,
-    so a custom backend sees the same queries in the same order.  An
+
+    Three optional hooks are asked about components only: the maximality
+    probe ``_maximal_mask`` (the item pass of the parent test and the
+    solution test of each candidate), the element pass ``_l1_growth`` of
+    the parent test, and ``_l2_without``, the child scan of components
+    mode.  Each states its contract in its own docstring.  Their defaults
+    ask ``_l1_mask`` and ``_l2_masks`` once per logical query, when it is
+    due, so a custom backend sees the same queries in the same order.  An
     override may answer from one sweep, as the graph backend does.
     """
 
@@ -214,35 +211,39 @@ class SetSystemOracle:
         """The function ``j`` to ``_l2_masks(n, tm - j)``, for ``j`` in ``tm``.
 
         ``tm`` is a component, and ``j`` leaves ``tm - j`` non-empty.  The
-        default asks ``_l2_masks`` once per call, when it is made.
+        enumerator counts one ``l2`` per call.  The default asks
+        ``_l2_masks`` once per call, when it is made.
         """
         return lambda j: self._l2_masks(n, tm & ~(1 << j))
 
-    def _l1_growth(self, n: int, sm: int, ym: int) -> Callable[[int, int], int]:
-        """The function ``(grown, rest)`` to the next element an ``l1`` can add.
+    def _l1_growth(self, n: int, sm: int, ym: int) -> Iterator[int]:
+        """The elements the parent test's element pass keeps, ascending.
 
-        That is the lowest bit ``b`` of ``rest`` with ``_l1_mask(n, grown
-        | b, ym)`` not ``None``, or 0 when there is none.  ``sm`` is a
-        component inside ``ym``, and ``grown`` is ``sm`` plus the bits
-        already returned.  The default asks ``_l1_mask`` bit by bit, in
-        ascending order.
+        ``sm`` is a component inside ``ym``.  The pass grows ``grown``,
+        starting from ``sm``, through the elements of ``ym - sm`` in
+        ascending order, and keeps each bit ``b`` with ``_l1_mask(n, grown
+        | b, ym)`` not ``None``, adding it to ``grown``.  The generator
+        yields each kept bit; the enumerator counts one ``l1`` for every
+        element passed over, the kept one included, and for all those
+        left when the generator is exhausted.  The default asks
+        ``_l1_mask`` bit by bit, only when the next kept element is asked
+        for, so a pass the enumerator stops early asks nothing more.
         """
-
-        def first(grown: int, rest: int) -> int:
-            while rest:
-                bit = rest & -rest
-                if self._l1_mask(n, grown | bit, ym) is not None:
-                    return bit
-                rest ^= bit
-            return 0
-
-        return first
+        grown = sm
+        rest = ym & ~sm
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if self._l1_mask(n, grown | bit, ym) is not None:
+                grown |= bit
+                yield bit
 
     def _maximal_mask(self, n: int, cm: int, ym: int) -> bool:
         """Whether the component ``cm`` is maximal within ``ym``, on masks.
 
         Asked only with a component inside ``ym``, so an override may use a
-        test that holds for components only.  The default holds for any set.
+        test that holds for components only; the enumerator counts it as
+        one ``l1``.  The default holds for any set.
         """
         return self._l1_mask(n, cm, ym) == cm
 

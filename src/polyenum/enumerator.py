@@ -173,18 +173,15 @@ class _Run:
         # kept element, so keeping one outside the target settles the
         # answer.  A grown set need not be a component, so it is tested
         # with l1, not with the maximality probe.  The oracle's growth hook
-        # names the next element kept; each element it passes over, the
-        # kept one included, counts as the l1 query it stands for.  The
-        # solution test's hull changes only when the common items shrink.
-        grow = self.oracle._l1_growth(self.n, sm, hull)
+        # yields the kept elements; each element passed over, the kept one
+        # included, and each one left at the end counts as the l1 query it
+        # stands for.  The solution test's hull changes only when the
+        # common items shrink.
         grown, items, items_hull = sm, sim, None
         rest = hull & ~sm
-        while rest:
-            bit = grow(grown, rest)
-            passed = rest & ((bit << 1) - 1)  # all of rest when bit is 0
+        for bit in self.oracle._l1_growth(self.n, sm, hull):
+            passed = rest & ((bit << 1) - 1)
             self.stats.l1_calls += passed.bit_count()
-            if not bit:
-                break
             rest ^= passed
             if target is not None and not target & bit:
                 return False
@@ -196,6 +193,7 @@ class _Run:
                 if target is not None:
                     return grown == target
                 return grown, items
+        self.stats.l1_calls += rest.bit_count()
         raise ContractError(
             "no strict superset solution found; the input is a root of its "
             "group (or the oracle backend is inconsistent)"

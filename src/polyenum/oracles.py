@@ -7,28 +7,29 @@ queries are safe.  Each keeps one memo, and what it holds is a pure
 function of the set system, so a memo never changes an answer.  The
 explicit backend remembers which members lie inside each member ``l2``
 has kept, F² bits at most for F members.  The graph backend remembers
-the components its ``l1`` queries found in the last hull, O(n) memory.
+the last component its ``l1`` queries swept and the hull it lies in,
+O(n) memory.
 ``OracleStats`` counts logical calls, memo hits included, so the call
 envelope of the enumeration does not depend on either memo.
 
 Both backends answer the enumerator's mask queries (``_l1_mask``,
 ``_l2_masks``) directly.  They share one public ``l1``/``l2``, which
 checks the query and wraps each mask answer in a fresh :class:`IdSet`.
-For the parent test's element pass, which asks ``l1(grown | b, y)`` for
-each element ``b`` left in a hull ``y``, and for the components-mode
-child scan, which asks ``l2(t - j)`` for each ``j`` of a component
-``t``, the explicit backend keeps the lazy defaults of ``_l1_growth``
-and ``_l2_without`` (one mask query per logical one).  The graph backend
-answers a whole element pass from the one component of ``y`` holding
-the grown solution, and every ``j`` from one depth-first sweep of ``t``,
-keeping only the subtrees that sweep cuts off, O(|t|) memory per scan
-in progress.  The enumerator asks all three optional hooks, the
-maximality probe included, about components only.
+For the parent test's element pass, which keeps each element ``b`` of
+a hull ``y`` with ``l1(grown | b, y)`` not ``None``, and for the
+components-mode child scan, which asks ``l2(t - j)`` for each ``j`` of a
+component ``t``, the explicit backend keeps the lazy defaults of
+``_l1_growth`` and ``_l2_without`` (one mask query per logical one).
+The graph backend yields a whole element pass from the one component of
+``y`` holding the solution, and answers every ``j`` from one depth-first
+sweep of ``t``, keeping only the subtrees that sweep cuts off, O(|t|)
+memory per scan in progress.  The enumerator asks all three optional
+hooks, the maximality probe included, about components only.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import ContractError, IdSet, SetSystemOracle, lex_sort_key
 
@@ -171,11 +172,12 @@ class GraphConnectivityOracle(_MaskBackend):
     orientation.  Connectivity queries run an iterative breadth-first
     sweep restricted to the queried vertex set, entirely on bitmasks, so
     no recursion depth is involved however large the graph gets.
-    Consecutive ``l1`` queries on one hull reuse the components already
-    swept there.  The maximality probe runs no sweep: a connected set is
-    maximal within ``y`` exactly when no vertex of ``y`` outside it is
-    adjacent to it.  ``_l1_growth`` answers a parent test's element pass
-    from the component of the hull holding the solution, taken once.
+    ``l1`` remembers the last component it swept and its hull, and a
+    query inside that component on that hull reuses it.  The maximality
+    probe runs no sweep: a connected set is maximal within ``y`` exactly
+    when no vertex of ``y`` outside it is adjacent to it.  ``_l1_growth``
+    yields a parent test's element pass from the component of the hull
+    holding the solution, taken once.
     ``_l2_without`` runs one depth-first sweep of a component and answers
     ``l2(t - j)`` for every ``j`` from its cut vertices.
     """
@@ -197,10 +199,11 @@ class GraphConnectivityOracle(_MaskBackend):
                 raise ValueError(f"edges[{idx}]: duplicate edge ({u}, {v})")
             self._adj[u] |= 1 << v
             self._adj[v] |= 1 << u
-        # The components of the last l1 hull found so far, disjoint masks.
-        # Each is a pure function of the hull, so the memo never changes an
-        # answer; a new hull replaces the slot, which keeps it O(n).
-        self._memo: Tuple[int, List[int]] = (-1, [])
+        # The last (hull, component of that hull) an l1 query swept.  It is
+        # a pure function of the pair, so the memo never changes an answer,
+        # and one assignment replaces it: concurrent queries at worst sweep
+        # again.
+        self._memo: Tuple[int, int] = (-1, 0)
 
     @property
     def adjacency(self) -> Dict[int, Tuple[int, ...]]:
@@ -225,37 +228,28 @@ class GraphConnectivityOracle(_MaskBackend):
         return comp
 
     def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
-        memo = self._memo
-        if memo[0] != ym:
-            memo = (ym, [])
-            self._memo = memo
+        hull, comp = self._memo
         seed = (xm & -xm).bit_length() - 1
-        for comp in memo[1]:
-            if comp >> seed & 1:
-                break
-        else:
+        if hull != ym or not comp >> seed & 1:
             comp = self._component_mask(seed, ym)
-            memo[1].append(comp)
+            self._memo = (ym, comp)
         if xm & ~comp:
             return None
         return comp
 
-    def _l1_growth(self, n: int, sm: int, ym: int) -> Callable[[int, int], int]:
+    def _l1_growth(self, n: int, sm: int, ym: int) -> Iterator[int]:
         # sm is connected, so it and everything grown from it lie in the
         # one component of ym holding sm, and grown | b lies inside a
-        # component of ym exactly when b is in that one.  It answers every
-        # step; it is taken at the first step with elements left, from the
-        # memo or one sweep.
-        comp = 0
-
-        def first(grown: int, rest: int) -> int:
-            nonlocal comp
-            if rest and not comp:
-                comp = self._l1_mask(n, sm, ym)
-            rest &= comp
-            return rest & -rest
-
-        return first
+        # component of ym exactly when b is in that one: the pass keeps
+        # every element of that component outside sm.  It is taken at the
+        # first next() with elements left, from the memo or one sweep.
+        rest = ym & ~sm
+        if rest:
+            rest &= self._l1_mask(n, sm, ym)
+        while rest:
+            bit = rest & -rest
+            yield bit
+            rest ^= bit
 
     def _maximal_mask(self, n: int, cm: int, ym: int) -> bool:
         # cm is connected, so it is maximal iff no vertex of ym - cm is

@@ -211,6 +211,36 @@ class TestRun:
         assert not out
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    # Python refuses a list or string of 2**62 entries at once, without
+    # allocating, so these sizes fail fast.
+    @pytest.mark.parametrize("mode", [[], ["--components"]], ids=["solutions", "components"])
+    @pytest.mark.parametrize(
+        "system",
+        [{"kind": "graph", "edges": []}, {"kind": "explicit", "components": [[1]]}],
+        ids=["graph", "explicit"],
+    )
+    def test_too_many_elements_exits_2(self, tmp_path, mode, system):
+        doc = {"elements": 2**62, "items": 2, "system": system}
+        if not mode:
+            doc["sigma"] = []
+        path = write_doc(tmp_path, doc)
+        code, out, err = invoke(["--input", path, *mode])
+        assert (code, out, err) == (2, "", f"error: {path}: instance too large to build\n")
+
+    @pytest.mark.parametrize(
+        "system",
+        [P3_DOC["system"], {"kind": "explicit", "components": [[1, 2], [2, 3]]}],
+        ids=["graph", "explicit"],
+    )
+    def test_too_many_items_exits_2(self, tmp_path, system):
+        doc = {**P3_DOC, "items": 2**62, "system": system}
+        path = write_doc(tmp_path, doc)
+        code, out, err = invoke(["--input", path])
+        assert (code, out, err) == (2, "", f"error: {path}: instance too large to build\n")
+        # --components reads no item count
+        code, out, _ = invoke(["--input", path, "--components"])
+        assert code == 0 and out
+
     @pytest.mark.parametrize(
         "system, sigma, line",
         [

@@ -215,7 +215,7 @@ def random_graph(rng, n, p):
 def test_graph_memo_answers_like_a_fresh_oracle(seed):
     # Sparse graphs, so hulls split into several components and many x
     # straddle two of them (answer None).  Queries cycle through a small
-    # pool of hulls, so the one-hull slot is both reused and replaced.
+    # pool of hulls, so the one-component slot is both reused and replaced.
     rng = random.Random(500 + seed)
     n = rng.randint(4, 10)
     edges = random_graph(rng, n, 0.3)
@@ -236,13 +236,10 @@ def test_graph_memo_answers_like_a_fresh_oracle(seed):
         nones += got is None
         if rng.random() < 0.1:
             assert memo.l2(y) == GraphConnectivityOracle(n, edges).l2(y)
-        # the slot holds disjoint components of the current hull only
-        hull, comps = memo._memo
+        # the slot holds one component of the current hull
+        hull, comp = memo._memo
         assert hull == ym
-        union = 0
-        for c in comps:
-            assert not c & union and not c & ~hull
-            union |= c
+        assert comp in union_find_components(edges, hull)
     assert 1 < replaced < queries
     assert nones > 0
 

@@ -1,12 +1,15 @@
 """The parent test's element pass, asked through ``_l1_growth``.
 
 The element pass grows a solution ``s`` inside a hull one element at a
-time: it keeps the lowest element ``b`` left with ``l1(grown | b, hull)``
-not ``None``.  The default hook asks ``_l1_mask`` bit by bit; the graph
-backend answers from the one component of the hull holding ``s``.  Both
-must name the same element at every step, and the enumerator must answer
-and count the same whichever it is given.
+time: it keeps each element ``b`` left, in ascending order, with
+``l1(grown | b, hull)`` not ``None``.  The hook yields the kept elements.
+The default asks ``_l1_mask`` bit by bit; the graph backend yields the
+one component of the hull holding ``s``.  Both must yield the same
+elements, and the enumerator must answer and count the same whichever it
+is given.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,18 +17,22 @@ from hypothesis import strategies as st
 
 from polyenum import (
     ContractError,
+    ExplicitFamilyOracle,
     GraphConnectivityOracle,
+    IdSet,
     Instance,
     OracleStats,
     ReducedInstance,
     SetSystemOracle,
     children,
+    enumerate_all,
     parent,
 )
-from polyenum.testkit import brute_force_solutions, random_instance
+from polyenum.testkit import RandomSpec, brute_force_solutions, random_instance
 
 from test_cut_vertices import BOWTIE, STAR, graphs_and_hulls, mask
 from test_enumerator import ACCEPTANCE_SPECS
+from test_oracles import families_and_queries, reference_l1
 
 
 class DefaultGrowthGraph(GraphConnectivityOracle):
@@ -45,20 +52,16 @@ class SweepCounter(GraphConnectivityOracle):
 
 
 def element_pass(oracle, n, sm, ym):
-    """Every element the hook names while growing ``sm`` inside ``ym``, then 0.
+    """Every element the hook yields while growing ``sm`` inside ``ym``.
 
-    Between steps it asks an ``l1`` on the whole universe, as the solution
-    test asks one on another hull, so the graph memo moves under the hook.
+    Between elements it asks an ``l1`` on the whole universe, as the
+    solution test asks one on another hull, so the graph memo moves under
+    the hook.
     """
     full = (1 << (n + 1)) - 2
-    grow = oracle._l1_growth(n, sm, ym)
-    grown, rest, named = sm, ym & ~sm, []
-    while rest:
-        bit = grow(grown, rest)
+    grown, named = sm, []
+    for bit in oracle._l1_growth(n, sm, ym):
         named.append(bit)
-        if not bit:
-            break
-        rest &= ~((bit << 1) - 1)
         grown |= bit
         oracle._l1_mask(n, grown, full)
     return named
@@ -98,19 +101,47 @@ def test_graph_growth_sweeps_once_and_only_when_asked():
     n, edges = BOWTIE
     g = SweepCounter(n, edges)
     hull = mask(1, 2, 3, 4, 6, 7, 8)  # 5 left out: two components
+    # Neither creating the generator nor an empty pass sweeps.
     grow = g._l1_growth(n, mask(3), hull)
-    assert grow(mask(3), 0) == 0
+    assert list(g._l1_growth(n, mask(1, 2, 3, 4), mask(1, 2, 3, 4))) == []
     assert g.sweeps == 0
-    assert grow(mask(3), mask(2, 6, 8)) == mask(2)
+    # The first element takes the one sweep of the pass.
+    assert next(grow) == mask(1)
     assert g.sweeps == 1
-    assert grow(mask(2, 3), mask(4, 6, 8)) == mask(4)
-    assert grow(mask(2, 3, 4), mask(6, 8)) == 0
+    assert list(grow) == [mask(2), mask(4)]
     assert g.sweeps == 1
-    # A hull already in the memo needs no sweep at all.
+    # A hull already in the slot needs no sweep at all.
     g._l1_mask(n, mask(7), hull)
     before = g.sweeps
-    assert g._l1_growth(n, mask(7), hull)(mask(7), mask(1, 6, 8)) == mask(6)
+    assert list(g._l1_growth(n, mask(7), hull)) == [mask(6), mask(8)]
     assert g.sweeps == before
+
+
+def reference_pass(family, n, sm, ym):
+    """The element pass as a greedy scan built on ``reference_l1``."""
+    y = IdSet._from_mask(n, ym)
+    grown, kept = sm, []
+    for v in IdSet._from_mask(n, ym & ~sm):
+        bit = 1 << v
+        if reference_l1(family, IdSet._from_mask(n, grown | bit), y) is not None:
+            grown |= bit
+            kept.append(bit)
+    return kept
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=families_and_queries())
+@example(case=(3, [IdSet(3, [2]), IdSet(3, [1, 2]), IdSet(3, [2, 3])], [(0, 0b1110)]))
+def test_explicit_growth_is_the_greedy_reference_pass(case):
+    # The explicit backend keeps the default hook.
+    n, family, queries = case
+    oracle = ExplicitFamilyOracle(n, family)
+    full = (1 << (n + 1)) - 2
+    for ym in {full} | {ym for _, ym in queries}:
+        for c in family:
+            if not c._mask & ~ym:
+                want = reference_pass(family, n, c._mask, ym)
+                assert list(oracle._l1_growth(n, c._mask, ym)) == want
 
 
 def outcome(ask, inst, s):
@@ -139,3 +170,44 @@ def test_hidden_override_keeps_parent_children_and_counts(spec, reduced):
     for s in brute_force_solutions(inst):
         for ask in (parent, children):
             assert outcome(ask, inst, s) == outcome(ask, hidden, s)
+
+
+class QueryLog(SetSystemOracle):
+    """A custom backend: only ``l1`` and ``l2``, each query logged as masks."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+
+    def l1(self, x, y):
+        self.log.append(f"l1 {x._mask:x} {y._mask:x}")
+        return self.inner.l1(x, y)
+
+    def l2(self, y):
+        self.log.append(f"l2 {y._mask:x}")
+        return self.inner.l2(y)
+
+    def delta_hint(self):
+        return self.inner.delta_hint()
+
+
+# The queries a custom backend receives from enumerate_all and from the
+# children of every solution, as a count and a digest of the log in order.
+# Recorded while the growth hook was still a function of (grown, rest);
+# the default generator must ask the same queries lazily, and nothing
+# more once the child test's parent pass stops early.
+def test_custom_backend_sees_the_same_queries():
+    logged = []
+    for kind in ("graph", "explicit"):
+        for seed in range(30):
+            inst = random_instance(RandomSpec(kind=kind, n_range=(1, 8), seed=seed))
+            oracle = QueryLog(inst.oracle)
+            sigma = [list(inst.sigma(v)) for v in range(1, inst.n + 1)]
+            custom = Instance(inst.n, inst.q, sigma, oracle)
+            enumerate_all(custom)
+            for s in brute_force_solutions(inst):
+                children(custom, s)
+            logged += oracle.log
+    assert len(logged) == 1185
+    digest = hashlib.sha256("\n".join(logged).encode()).hexdigest()[:16]
+    assert digest == "9b15e3b1d4edf3e6"
