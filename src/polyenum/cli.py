@@ -127,6 +127,14 @@ def parse_instance(path: str) -> Instance:
     raw_sigma = doc.get("sigma")
     if not isinstance(raw_sigma, list):
         raise InstanceFormatError("sigma: expected a list of item-id lists")
+    if len(raw_sigma) != n:
+        # Checked before the oracle, whose tables take memory in n, is
+        # built.  A count past sys.maxsize // 8 is too large for any
+        # per-element table, so it is too large to build whatever sigma
+        # holds.
+        if n > sys.maxsize // 8:
+            raise MemoryError
+        raise InstanceFormatError(f"sigma must have {n} rows, got {len(raw_sigma)}")
     sigma = [_int_list(row, f"sigma[{idx}]") for idx, row in enumerate(raw_sigma)]
     return _construct("sigma", "sigma", Instance, n, q, sigma, _build_oracle(doc, n))
 

@@ -31,6 +31,9 @@ class ReducedInstance(Instance):
         self.q = n
         self.oracle = oracle
         self._full = (1 << (n + 1)) - 2
+        # Element v carries every item but v, so with n >= 2 each item is
+        # carried; the one element of a 1-element universe carries none.
+        self._carried = self._full if n >= 2 else 0
 
     # Only the mask algebra changes (items and elements share the universe
     # mask ``_full``); the public methods inherited from Instance check

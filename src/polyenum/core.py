@@ -327,8 +327,10 @@ class Instance:
     ``sigma`` is given as a sequence of ``n`` iterables; row ``v - 1``
     holds the item ids carried by element ``v``, each within ``[1, q]``
     and none repeated.  Per-item element slices are precomputed so
-    attribute queries are mask intersections.  An oracle with an ``n``
-    attribute, as both shipped backends have, must be over ``[1, n]`` too.
+    attribute queries are mask intersections.  ``_carried`` holds the
+    items some element carries; the enumeration loops over those only.
+    An oracle with an ``n`` attribute, as both shipped backends have, must
+    be over ``[1, n]`` too.
     """
 
     def __init__(
@@ -349,6 +351,7 @@ class Instance:
         self._sigma_masks = [0] * (n + 1)
         self._item_masks = [0] * (q + 1)
         self._item_masks[0] = (1 << (n + 1)) - 2
+        self._carried = 0
         for v, row in enumerate(sigma, start=1):
             m = 0
             for i in row:
@@ -359,6 +362,7 @@ class Instance:
                 m |= 1 << i
                 self._item_masks[i] |= 1 << v
             self._sigma_masks[v] = m
+            self._carried |= m
 
     # The attribute algebra on masks, which the enumerator calls directly.
     # Arguments are trusted: the public methods below check them.

@@ -218,10 +218,13 @@ class _Run:
             return  # no group-0 solution has children: no l2 query needed
         kbit = 1 << k
         l2_in_slice = inst._l2_by_slice(tm)
-        for j in range(k + 1, inst.q + 1):
-            jbit = 1 << j
-            if tim & jbit:
-                continue
+        # The items above k that t lacks and some element carries; the
+        # others have no element in t's slice to ask about.
+        rest = inst._carried & ~tim & -(kbit << 1)
+        while rest:
+            jbit = rest & -rest
+            rest ^= jbit
+            j = jbit.bit_length() - 1
             if not tm & inst._slice_mask(j):
                 continue  # oracles only take non-empty queries
             self.stats.l2_calls += 1  # one l2(tm & slice(j)), however answered
@@ -371,8 +374,12 @@ def enumerate_all(
 ) -> None:
     """Emit every kept solution of the instance, each exactly once.
 
-    Runs the per-group enumeration for every group id in ascending order;
-    the groups partition the solution family, so nothing repeats.
+    Runs the per-group enumeration for group 0 and for each item some
+    element carries, in ascending order; no other group has a solution.
+    The groups partition the solution family, so nothing repeats.
     """
-    for k in range(inst.q + 1):
-        enumerate_k(inst, k, rho=rho, sink=sink, stats=stats)
+    groups = inst._carried | 1
+    while groups:
+        kbit = groups & -groups
+        groups ^= kbit
+        enumerate_k(inst, kbit.bit_length() - 1, rho=rho, sink=sink, stats=stats)

@@ -1,4 +1,4 @@
-"""Ground truth and generators for desk-scale verification.
+"""Ground truth, generators and a logging backend for desk-scale verification.
 
 Everything here works from first principles: solutions are found by
 checking the definition against every strict superset component, never by
@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .core import ContractError, IdSet, Instance, OracleStats, lex_sort_key, subset_lex_less
+from .core import ContractError, IdSet, Instance, OracleStats, SetSystemOracle
+from .core import lex_sort_key, subset_lex_less
 from .enumerator import Solution
 from .oracles import ExplicitFamilyOracle, GraphConnectivityOracle
 
@@ -102,6 +103,31 @@ def brute_force_parent(
         ):
             best = t
     return best
+
+
+class PublicOnly(SetSystemOracle):
+    """A custom backend over ``inner`` that logs every query it is asked.
+
+    It implements only ``l1``, ``l2`` and ``delta_hint``, each forwarded to
+    ``inner``, and has no ``n``: the minimal custom backend, reached through
+    every mask hook's default.  ``log`` lists the queries in the order
+    asked, as masks: ``("l1", xm, ym)`` or ``("l2", ym)``.
+    """
+
+    def __init__(self, inner: SetSystemOracle) -> None:
+        self.inner = inner
+        self.log: List[tuple] = []
+
+    def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
+        self.log.append(("l1", x._mask, y._mask))
+        return self.inner.l1(x, y)
+
+    def l2(self, y: IdSet) -> List[IdSet]:
+        self.log.append(("l2", y._mask))
+        return self.inner.l2(y)
+
+    def delta_hint(self) -> int:
+        return self.inner.delta_hint()
 
 
 def max_interoutput_traversals(stats: OracleStats) -> int:

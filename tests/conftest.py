@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle, IdSet, Instance
 
 P3_SIGMA = [[1], [1, 2], [2]]
+P3_JSON = str(Path(__file__).parents[1] / "docs" / "p3.json")  # the p3 fixture's document
 
 
 @pytest.fixture

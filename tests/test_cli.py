@@ -10,7 +10,7 @@ import pytest
 import polyenum
 from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle, IdSet
 from polyenum.cli import InstanceFormatError, _verify, parse_instance, run
-from polyenum import testkit
+from polyenum import cli, testkit
 
 P3_DOC = {
     "elements": 3,
@@ -226,6 +226,11 @@ class TestRun:
         path = write_doc(tmp_path, doc)
         code, out, err = invoke(["--input", path, *mode])
         assert (code, out, err) == (2, "", f"error: {path}: instance too large to build\n")
+
+    def test_sigma_row_count_is_checked_before_the_oracle_is_built(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_build_oracle", None)  # calling it fails the test
+        path = write_doc(tmp_path, {**P3_DOC, "elements": 10**7, "sigma": []})
+        assert invoke(["--input", path]) == (2, "", "error: sigma must have 10000000 rows, got 0\n")
 
     @pytest.mark.parametrize(
         "system",

@@ -14,7 +14,6 @@ from polyenum import (
     Instance,
     OracleStats,
     ReducedInstance,
-    SetSystemOracle,
     SizeAbove,
     Solution,
     children,
@@ -28,6 +27,7 @@ from polyenum import (
 )
 from polyenum.enumerator import _Run
 from polyenum.testkit import (
+    PublicOnly,
     RandomSpec,
     brute_force_parent,
     brute_force_solutions,
@@ -35,7 +35,7 @@ from polyenum.testkit import (
     random_instance,
 )
 
-from conftest import elems, items
+from conftest import P3_SIGMA, elems, items
 
 
 def run_all(inst, rho=None):
@@ -80,8 +80,6 @@ class TestIsSolution:
 
 
 def makeinst(oracle, q=2, sigma=((1,), (1, 2), (2,))):
-    from polyenum import Instance
-
     return Instance(oracle.n, q, [list(r) for r in sigma[: oracle.n]], oracle)
 
 
@@ -156,21 +154,6 @@ def test_parent_target_test_agrees_with_full_parent(spec):
             )
 
 
-class RecordingOracle(SetSystemOracle):
-    """Logs every l1 query; reached through the default mask adapter."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.log = []
-
-    def l1(self, x, y):
-        self.log.append((x, y))
-        return self.inner.l1(x, y)
-
-    def l2(self, y):
-        return self.inner.l2(y)
-
-
 def parent_from_scratch(inst, s):
     """The parent routine with every hull and common item set recomputed."""
     l1 = inst.oracle.l1
@@ -203,7 +186,7 @@ def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
     queries.
     """
     plain = random_instance(spec)
-    oracle = RecordingOracle(plain.oracle)
+    oracle = PublicOnly(plain.oracle)
     if reduced:
         plain = ReducedInstance(plain.n, plain.oracle)
         inst = ReducedInstance(plain.n, oracle)
@@ -224,7 +207,7 @@ def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
         assert got == want
         assert got.items == inst.common_item_set(got.elements)
         # One l1 more, first: the check that s is a solution.
-        assert oracle.log == [(s.elements, inst.elements_with_items(s.items))] + want_log
+        assert oracle.log == [("l1", s.elements._mask, inst._hull_mask(s.items._mask))] + want_log
         for t in group:
             if not s.elements < t.elements:
                 continue  # only a strict superset can be the parent
@@ -300,8 +283,6 @@ class TestEnumerateK:
 
     def test_item_carried_by_nobody_short_circuits(self):
         oracle = ExplicitFamilyOracle(2, [[1], [2]])
-        from polyenum import Instance
-
         inst = Instance(2, 3, [[1], [1]], oracle)
         stats = OracleStats()
         out = []
@@ -460,6 +441,24 @@ class TestEnumerateAll:
         got = run_all(inst)
         assert [s.elements for s in got] == [IdSet(inst.n, [1, 3])]
 
+    def test_work_follows_the_carried_items_not_the_declared_count(self, p3):
+        class SliceCounter(Instance):
+            asked = 0
+
+            def _slice_mask(self, i):
+                self.asked += 1
+                return super()._slice_mask(i)
+
+        # Items 3..q are carried by no element.  Group q's roots are never
+        # descended, so both runs declare more items than the two carried.
+        runs = []
+        for q in (3, 10**6):
+            inst, stats, out = SliceCounter(3, q, P3_SIGMA, p3.oracle), OracleStats(), []
+            enumerate_all(inst, sink=out.append, stats=stats)
+            runs.append(([(list(s.elements), list(s.items), s.k) for s in out], stats.as_dict()))
+        assert runs[0] == runs[1]
+        assert inst.asked < 1000
+
     def test_runs_are_deterministic(self, p3):
         assert run_all(p3) == run_all(p3)
 
@@ -566,9 +565,6 @@ class TestStackMatchesRecursion:
 
     def test_deep_child_chains_do_not_recurse(self):
         # the interval chain of a long path nests one child per level
-        from polyenum import enumerate_components
-        from polyenum.oracles import GraphConnectivityOracle
-
         m = 40
         oracle = GraphConnectivityOracle(m, [(i, i + 1) for i in range(1, m)])
         out = []

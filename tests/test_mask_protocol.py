@@ -20,31 +20,14 @@ from polyenum import (
     Instance,
     OracleStats,
     ReducedInstance,
-    SetSystemOracle,
     enumerate_all,
     enumerate_components,
 )
 from polyenum import cli
-from polyenum.testkit import random_instance
+from polyenum.testkit import PublicOnly, random_instance
 
-from conftest import P3_SIGMA
+from conftest import P3_JSON, P3_SIGMA
 from test_enumerator import ACCEPTANCE_SPECS
-
-
-class PublicOnly(SetSystemOracle):
-    """A custom backend: only the public IdSet ``l1``/``l2``, delegated."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def l1(self, x, y):
-        return self.inner.l1(x, y)
-
-    def l2(self, y):
-        return self.inner.l2(y)
-
-    def delta_hint(self):
-        return self.inner.delta_hint()
 
 
 def rendered(run):
@@ -90,18 +73,18 @@ class ForeignL1(PublicOnly):
     """Answers ``l1`` with the right ids over a universe one element larger."""
 
     def l1(self, x, y):
-        z = self.inner.l1(x, y)
+        z = super().l1(x, y)
         return None if z is None else IdSet(z.capacity + 1, z)
 
 
 class ForeignL2(PublicOnly):
     def l2(self, y):
-        return [IdSet(c.capacity + 1, c) for c in self.inner.l2(y)]
+        return [IdSet(c.capacity + 1, c) for c in super().l2(y)]
 
 
 class FrozensetL1(PublicOnly):
     def l1(self, x, y):
-        z = self.inner.l1(x, y)
+        z = super().l1(x, y)
         return None if z is None else frozenset(z)
 
 
@@ -113,16 +96,11 @@ class EmptyL1(PublicOnly):
 
 
 class EmptyL2(PublicOnly):
-    """Adds the empty set to its first ``l2`` answer only: the root query."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.asked = False
+    """Adds the empty set to its answer to the first query: the root ``l2``."""
 
     def l2(self, y):
-        answer = self.inner.l2(y)
-        if not self.asked:
-            self.asked = True
+        answer = super().l2(y)
+        if len(self.log) == 1:
             answer.append(IdSet(y.capacity))  # last in subset order
         return answer
 
@@ -141,14 +119,11 @@ def test_foreign_universe_answers_fail_loudly(broken):
         enumerate_components(oracle, 3, sink=lambda s: None)
 
 
-def test_cli_exits_2_on_a_foreign_universe_answer(tmp_path, monkeypatch):
-    path = tmp_path / "p3.json"
-    path.write_text('{"elements": 3, "items": 2, "sigma": [[1], [1, 2], [2]],'
-                    ' "system": {"kind": "graph", "edges": [[1, 2], [2, 3]]}}')
+def test_cli_exits_2_on_a_foreign_universe_answer(monkeypatch):
     build = cli._build_oracle
     monkeypatch.setattr(cli, "_build_oracle", lambda doc, n: ForeignL1(build(doc, n)))
     out, err = io.StringIO(), io.StringIO()
-    assert cli.run(["--input", str(path)], stdout=out, stderr=err) == 2
+    assert cli.run(["--input", P3_JSON], stdout=out, stderr=err) == 2
     assert err.getvalue().startswith("error: l1 answered IdSet(4, ")
     assert "not a set over the instance's elements [1, 3]" in err.getvalue()
 
@@ -167,14 +142,11 @@ def test_empty_answers_fail_loudly(broken, query):
 
 @pytest.mark.parametrize("mode", [[], ["--components"]], ids=["solutions", "components"])
 @pytest.mark.parametrize("broken, query", [(EmptyL1, "l1"), (EmptyL2, "l2")])
-def test_cli_exits_2_on_an_empty_answer(tmp_path, monkeypatch, broken, query, mode):
-    path = tmp_path / "p3.json"
-    path.write_text('{"elements": 3, "items": 2, "sigma": [[1], [1, 2], [2]],'
-                    ' "system": {"kind": "graph", "edges": [[1, 2], [2, 3]]}}')
+def test_cli_exits_2_on_an_empty_answer(monkeypatch, broken, query, mode):
     build = cli._build_oracle
     monkeypatch.setattr(cli, "_build_oracle", lambda doc, n: broken(build(doc, n)))
     out, err = io.StringIO(), io.StringIO()
-    assert cli.run(["--input", str(path), *mode], stdout=out, stderr=err) == 2
+    assert cli.run(["--input", P3_JSON, *mode], stdout=out, stderr=err) == 2
     assert err.getvalue().endswith(
         f"error: {query} answered the empty set; components are non-empty\n")
 
@@ -280,6 +252,7 @@ def test_mask_algebra_matches_public_algebra(make, seed):
         assert inst._sigma_mask(v) == inst.sigma(v)._mask == IdSet(q, rows[v - 1])._mask
     for i in range(q + 1):
         assert inst._slice_mask(i) == inst.elements_with_item(i)._mask == slice_(i)._mask
+    assert inst._carried == IdSet(q, set().union(*rows))._mask
     for _ in range(40):
         xm = (rng.getrandbits(n) << 1) or 2
         x = IdSet._from_mask(n, xm)

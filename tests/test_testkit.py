@@ -7,10 +7,15 @@ from polyenum import (
     Instance,
     OracleStats,
     ReducedInstance,
+    SetSystemOracle,
+    enumerate_all,
+    enumerate_components,
     make_solution,
 )
+from polyenum.cli import parse_instance
 from polyenum.testkit import (
     MATERIALIZE_BOUND,
+    PublicOnly,
     RandomSpec,
     brute_force_parent,
     brute_force_solutions,
@@ -19,7 +24,8 @@ from polyenum.testkit import (
     random_instance,
 )
 
-from conftest import elems
+from conftest import P3_JSON, elems
+from test_mask_protocol import rendered
 
 
 def test_materialize_graph_components():
@@ -82,6 +88,32 @@ def test_max_interoutput_traversals_conventions():
     st.traversal_calls = 8
     st.record_output()
     assert st.max_interoutput_traversals == max_interoutput_traversals(st) == 2
+
+
+class TestPublicOnly:
+    def test_every_mask_hook_is_the_default(self):
+        for hook in ("_l1_mask", "_l2_masks", "_maximal_mask", "_l1_growth", "_l2_without"):
+            assert getattr(PublicOnly, hook) is getattr(SetSystemOracle, hook)
+        assert not hasattr(PublicOnly(GraphConnectivityOracle(3)), "n")
+
+    def test_logs_each_query_in_order_and_forwards_the_answers(self, p3):
+        g, logged = p3.oracle, PublicOnly(p3.oracle)
+        x, y, ends = elems(p3, 2), elems(p3, 1, 2, 3), elems(p3, 1, 3)
+        assert logged.l2(y) == g.l2(y)
+        assert logged.l1(x, y) == g.l1(x, y) == y
+        assert logged.l1(ends, ends) is g.l1(ends, ends) is None
+        assert logged.delta_hint() == g.delta_hint()
+        assert logged.log == [("l2", 0b1110), ("l1", 0b100, 0b1110), ("l1", 0b1010, 0b1010)]
+
+    def test_enumeration_through_it_matches_the_inner_backend(self):
+        inst = parse_instance(P3_JSON)
+        sigma = [list(inst.sigma(v)) for v in range(1, inst.n + 1)]
+        custom = Instance(inst.n, inst.q, sigma, PublicOnly(inst.oracle))
+        assert rendered(lambda sink, st: enumerate_all(custom, sink=sink, stats=st)) == rendered(
+            lambda sink, st: enumerate_all(inst, sink=sink, stats=st))
+        logged = PublicOnly(inst.oracle)
+        assert rendered(lambda sink, st: enumerate_components(logged, 3, sink=sink, stats=st)) == (
+            rendered(lambda sink, st: enumerate_components(inst.oracle, 3, sink=sink, stats=st)))
 
 
 class TestGenerators:
