@@ -214,8 +214,8 @@ class _Run:
         """
         inst = self.inst
         tm, tim, k = t.elements._mask, t.items._mask, t.k
-        if not k:
-            return  # no group-0 solution has children: no l2 query needed
+        if not (k and inst._carried >> (k + 1)):
+            return  # group 0, or no item above k carried: t has no children
         kbit = 1 << k
         l2_in_slice = inst._l2_by_slice(tm)
         # The items above k that t lacks and some element carries; the
@@ -294,7 +294,7 @@ def _solution_run(
     """
     if make_solution(inst, t.elements) != t:
         raise ContractError(f"{t!r} differs from make_solution(inst, t.elements)")
-    if needs_parent and not 1 <= t.k <= inst.q - 1:
+    if needs_parent and not (t.k and inst._carried >> (t.k + 1)):
         raise ContractError(f"solutions in group {t.k} are roots and have no parent")
     run = _Run(inst, stats, rho, sink)
     if not run.is_solution(t.elements._mask, t.items._mask):
@@ -308,7 +308,8 @@ def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> 
     The parent is the lexicographically least (items first, then elements)
     among the minimal strict superset solutions of ``s`` within its group.
     Raises :class:`ContractError` when ``s`` is a root of its group, which
-    includes every solution with ``k`` equal to 0 or to the item count.
+    includes every solution with ``k`` equal to 0, and every one when no
+    element carries an item above ``k``.
     """
     run = _solution_run(inst, s, stats, needs_parent=True)
     return run.solution(*run._parent(s.elements._mask, s.items._mask, s.k))
@@ -347,7 +348,8 @@ def enumerate_k(
 
     Roots come from one l2 query on the elements carrying item ``k``
     (``k = 0`` queries the whole universe); each root that belongs to the
-    group is emitted and, for inner groups, its tree is traversed.  When
+    group is emitted and, when ``k > 0`` and some element carries an item
+    above ``k``, its tree is traversed.  When
     no element carries item ``k`` there is nothing to do and the oracle is
     not queried at all.
     """
@@ -362,7 +364,7 @@ def enumerate_k(
         if t.k != k or not run.rho_positive(t.elements):
             continue
         run.emit(t)
-        if 1 <= k <= inst.q - 1:
+        if k and inst._carried >> (k + 1):
             run.descend(t)
 
 

@@ -4,9 +4,7 @@ Each test prints a single ``[acceptance] criterion N (...): PASS|FAIL`` line
 (visible with ``pytest -s`` or in failure reports) and then asserts.
 """
 
-import io
 import itertools
-import json
 import random
 import time
 from types import SimpleNamespace
@@ -25,9 +23,7 @@ from polyenum import (
     subset_lex_leq,
     subset_lex_less,
 )
-from polyenum.cli import run
 from polyenum.testkit import (
-    RandomSpec,
     brute_force_parent,
     brute_force_solutions,
     materialize_components,
@@ -35,16 +31,7 @@ from polyenum.testkit import (
     random_instance,
 )
 
-EXPLICIT_SEEDS = list(range(100))
-GRAPH_SEEDS = list(range(1000, 1100))
-
-P3_DOC = {
-    "elements": 3,
-    "items": 2,
-    "sigma": [[1], [1, 2], [2]],
-    "system": {"kind": "graph", "edges": [[1, 2], [2, 3]]},
-}
-P3_GOLDEN = "1 2 3\t-\n1 2\t1\n2\t1 2\n2 3\t2\n"
+from conftest import ACCEPTANCE_SPECS, P3_DOC, P3_GOLDEN, invoke, write_doc
 
 _t0 = time.monotonic()
 
@@ -59,9 +46,7 @@ def _finish(num, label, failures):
 def corpus():
     """The 200 seeded instances with all per-instance runs precomputed."""
     records = []
-    specs = [RandomSpec(kind="explicit", n_range=(1, 7), seed=s) for s in EXPLICIT_SEEDS]
-    specs += [RandomSpec(kind="graph", n_range=(1, 8), seed=s) for s in GRAPH_SEEDS]
-    for spec in specs:
+    for spec in ACCEPTANCE_SPECS:
         inst = random_instance(spec)
         emitted = []
         enumerate_all(inst, sink=emitted.append)
@@ -98,12 +83,6 @@ def _graph_doc(inst):
     return {"elements": inst.n, "system": {"kind": "graph", "edges": edges}}
 
 
-def _run_cli(args):
-    out, err = io.StringIO(), io.StringIO()
-    code = run(args, stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
-
-
 def _parse_text_records(text):
     out = []
     for line in text.splitlines():
@@ -130,9 +109,8 @@ def test_criterion_2_brute_force_equivalence_components(corpus, tmp_path):
     failures = []
     graph_recs = [r for r in corpus if r.spec.kind == "graph"]
     for idx, rec in enumerate(graph_recs):
-        path = tmp_path / f"g{idx}.json"
-        path.write_text(json.dumps(_graph_doc(rec.inst)))
-        code, out, err = _run_cli(["--input", str(path), "--components"])
+        path = write_doc(tmp_path, _graph_doc(rec.inst), f"g{idx}.json")
+        code, out, err = invoke(["--input", path, "--components"])
         if code != 0:
             failures.append(f"{rec.spec}: exit {code}: {err.strip()}")
             continue
@@ -141,13 +119,12 @@ def test_criterion_2_brute_force_equivalence_components(corpus, tmp_path):
         if len(got) != len(set(got)) or set(got) != want:
             failures.append(f"{rec.spec}: --components output differs from the family")
     for m in range(2, 7):
-        path = tmp_path / f"p{m}.json"
         doc = {
             "elements": m,
             "system": {"kind": "graph", "edges": [[i, i + 1] for i in range(1, m)]},
         }
-        path.write_text(json.dumps(doc))
-        code, out, _ = _run_cli(["--input", str(path), "--components"])
+        path = write_doc(tmp_path, doc, f"p{m}.json")
+        code, out, _ = invoke(["--input", path, "--components"])
         got = _parse_text_records(out)
         if code != 0 or len(got) != m * (m + 1) // 2:
             failures.append(f"path P_{m}: {len(got)} records, want {m * (m + 1) // 2}")
@@ -264,11 +241,10 @@ def test_criterion_6_volume_pruning(corpus):
 
 def test_criterion_7_golden_trace(tmp_path):
     failures = []
-    path = tmp_path / "p3.json"
-    path.write_text(json.dumps(P3_DOC))
+    path = write_doc(tmp_path, P3_DOC, "p3.json")
     outputs = []
     for _ in range(2):
-        code, out, err = _run_cli(["--input", str(path)])
+        code, out, err = invoke(["--input", path])
         if code != 0:
             failures.append(f"exit {code}: {err.strip()}")
         outputs.append(out)

@@ -12,26 +12,7 @@ from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle, IdSet
 from polyenum.cli import InstanceFormatError, _verify, parse_instance, run
 from polyenum import cli, testkit
 
-P3_DOC = {
-    "elements": 3,
-    "items": 2,
-    "sigma": [[1], [1, 2], [2]],
-    "system": {"kind": "graph", "edges": [[1, 2], [2, 3]]},
-}
-
-P3_GOLDEN = "1 2 3\t-\n1 2\t1\n2\t1 2\n2 3\t2\n"
-
-
-def write_doc(tmp_path, doc, name="instance.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-def invoke(args):
-    out, err = io.StringIO(), io.StringIO()
-    code = run(args, stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
+from conftest import P3_DOC, P3_GOLDEN, invoke, write_doc
 
 
 class TestParseInstance:
@@ -104,12 +85,6 @@ class TestParseInstance:
 
 
 class TestRun:
-    def test_p3_golden_text(self, tmp_path):
-        path = write_doc(tmp_path, P3_DOC)
-        code, out, err = invoke(["--input", path])
-        assert code == 0
-        assert out == P3_GOLDEN
-
     def test_min_size_prunes(self, tmp_path):
         path = write_doc(tmp_path, P3_DOC)
         code, out, _ = invoke(["--input", path, "--min-size", "1"])

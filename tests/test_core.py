@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,9 @@ from polyenum import (
     subset_lex_less,
 )
 from polyenum.core import lex_sort_key
+from polyenum.testkit import RandomSpec, random_instance
 
-from conftest import elems, items
+from conftest import P3_SIGMA, elems, items, reference_algebra
 
 
 def all_subsets(universe):
@@ -186,15 +188,6 @@ class RowLog(list):
         return super().__getitem__(v)
 
 
-def common_by_slices(inst, xm):
-    """Items whose element slice holds all of ``xm``: the definition."""
-    m = 0
-    for i in range(1, inst.q + 1):
-        if not xm & ~inst._slice_mask(i):
-            m |= 1 << i
-    return m
-
-
 class TestCommonMask:
     """``Instance._common_mask`` walks the elements' rows."""
 
@@ -223,16 +216,29 @@ class TestCommonMask:
     def test_item_held_by_every_element(self):
         sigma = [[2, 4], [1, 2], [2, 3, 4], [2]]
         inst = self.inst(sigma)
+        common = reference_algebra(sigma, 4, 4)[0]
         for xm in range(2, 1 << 5, 2):
             got = inst._common_mask(xm)
-            assert got == common_by_slices(inst, xm)
+            assert got == common(IdSet._from_mask(4, xm))._mask
             assert got >> 2 & 1
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_the_slice_definition(self, seed):
-        inst, rng = random_small_instance(seed)
+        inst = random_instance(RandomSpec("graph", n_range=(1, 6), q_range=(1, 5), seed=seed))
+        rows = [list(inst.sigma(v)) for v in range(1, inst.n + 1)]
+        common = reference_algebra(rows, inst.n, inst.q)[0]
         for xm in range(2, 1 << (inst.n + 1), 2):
-            assert inst._common_mask(xm) == common_by_slices(inst, xm)
+            assert inst._common_mask(xm) == common(IdSet._from_mask(inst.n, xm))._mask
+
+    def test_memory_does_not_follow_the_declared_item_count(self):
+        inst = Instance(3, 10**6, P3_SIGMA, GraphConnectivityOracle(3))
+        tracemalloc.start()
+        try:
+            assert inst._common_mask(0b110) == 0b10
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024, peak
 
     def test_reduced_instance_keeps_the_complement(self):
         red = ReducedInstance(5, GraphConnectivityOracle(5))
@@ -241,17 +247,10 @@ class TestCommonMask:
             assert red._common_mask(xm) == full & ~xm
 
 
-def random_small_instance(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 6)
-    q = rng.randint(1, 5)
-    sigma = [[i for i in range(1, q + 1) if rng.random() < 0.5] for _ in range(n)]
-    return Instance(n, q, sigma, GraphConnectivityOracle(n)), rng
-
-
 @pytest.mark.parametrize("seed", range(25))
 def test_attribute_queries_are_antitone_and_adjoint(seed):
-    inst, rng = random_small_instance(seed)
+    inst = random_instance(RandomSpec("graph", n_range=(1, 6), q_range=(1, 5), seed=seed))
+    rng = random.Random(seed)
     for _ in range(20):
         jm = rng.getrandbits(inst.q) << 1
         jm2 = jm | (rng.getrandbits(inst.q) << 1)

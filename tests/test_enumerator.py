@@ -35,7 +35,7 @@ from polyenum.testkit import (
     random_instance,
 )
 
-from conftest import P3_SIGMA, elems, items
+from conftest import ACCEPTANCE_SPECS, P3_SIGMA, elems, items
 
 
 def run_all(inst, rho=None):
@@ -44,10 +44,8 @@ def run_all(inst, rho=None):
     return out
 
 
-def corpus_specs():
-    for seed in range(40):
-        yield RandomSpec(kind="explicit", seed=seed)
-        yield RandomSpec(kind="graph", n_range=(1, 8), seed=1000 + seed)
+# 40 instances of each kind from the acceptance corpus.
+CORPUS_SPECS = ACCEPTANCE_SPECS[:40] + ACCEPTANCE_SPECS[100:140]
 
 
 class TestIsSolution:
@@ -94,14 +92,6 @@ class TestParent:
         assert t.elements == elems(p3_explicit, 1, 2)
         assert t == brute_force_parent(p3_explicit, s)
 
-    def test_boundary_groups_rejected(self, p3):
-        top = make_solution(p3, elems(p3, 1, 2, 3))  # k == 0
-        with pytest.raises(ContractError):
-            parent(p3, top)
-        right = make_solution(p3, elems(p3, 2, 3))  # k == q
-        with pytest.raises(ContractError):
-            parent(p3, right)
-
     @pytest.mark.parametrize("ids, k", [((1, 2, 3), 0), ((2, 3), 2)])
     def test_boundary_groups_rejected_before_any_query(self, p3, ids, k):
         stats = OracleStats()
@@ -113,28 +103,6 @@ class TestParent:
         base = make_solution(p3, elems(p3, 1, 2))  # root of group 1
         with pytest.raises(ContractError):
             parent(p3, base)
-
-    @pytest.mark.parametrize("spec", list(corpus_specs()), ids=lambda s: f"{s.kind}{s.seed}")
-    def test_matches_brute_force_everywhere(self, spec):
-        inst = random_instance(spec)
-        sols = brute_force_solutions(inst)
-        for s in sols:
-            if not 1 <= s.k <= inst.q - 1:
-                continue
-            if not any(t.k == s.k and s.elements < t.elements for t in sols):
-                continue  # root of its group
-            got = parent(inst, s)
-            want = brute_force_parent(inst, s, solutions=sols)
-            assert got.elements == want.elements
-            # parent laws
-            assert got.elements > s.elements
-            assert got.k == s.k
-            assert is_solution(inst, got.elements)
-
-
-ACCEPTANCE_SPECS = [RandomSpec(kind="explicit", n_range=(1, 7), seed=s) for s in range(100)] + [
-    RandomSpec(kind="graph", n_range=(1, 8), seed=s) for s in range(1000, 1100)
-]
 
 
 @pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
@@ -415,7 +383,7 @@ class TestRecordCheckedAtBoundary:
 
 
 def test_parent_rejects_every_record_missing_a_common_item():
-    for spec in corpus_specs():
+    for spec in CORPUS_SPECS:
         inst = random_instance(spec)
         for s in brute_force_solutions(inst):
             for i in s.items:
@@ -449,14 +417,13 @@ class TestEnumerateAll:
                 self.asked += 1
                 return super()._slice_mask(i)
 
-        # Items 3..q are carried by no element.  Group q's roots are never
-        # descended, so both runs declare more items than the two carried.
+        # Items 3..q are carried by no element.
         runs = []
-        for q in (3, 10**6):
+        for q in (2, 3, 10**6):
             inst, stats, out = SliceCounter(3, q, P3_SIGMA, p3.oracle), OracleStats(), []
             enumerate_all(inst, sink=out.append, stats=stats)
             runs.append(([(list(s.elements), list(s.items), s.k) for s in out], stats.as_dict()))
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
         assert inst.asked < 1000
 
     def test_runs_are_deterministic(self, p3):
@@ -472,7 +439,7 @@ class TestEnumerateAll:
         with pytest.raises(Boom):
             enumerate_all(p3, sink=sink)
 
-    @pytest.mark.parametrize("spec", list(corpus_specs()), ids=lambda s: f"{s.kind}{s.seed}")
+    @pytest.mark.parametrize("spec", CORPUS_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
     def test_matches_brute_force(self, spec):
         inst = random_instance(spec)
         got = run_all(inst)
@@ -512,16 +479,6 @@ class TestEnumerateAll:
                 continue
             for c in inst.oracle.l2(y):
                 assert is_solution(inst, c)
-
-    @pytest.mark.parametrize("p", [0, 1, 2])
-    @pytest.mark.parametrize("seed", [0, 3, 11, 1004, 1017])
-    def test_volume_pruning_equals_filtering(self, p, seed):
-        kind = "explicit" if seed < 1000 else "graph"
-        inst = random_instance(RandomSpec(kind=kind, seed=seed))
-        pruned = {s.elements for s in run_all(inst, rho=SizeAbove(p))}
-        unfiltered = {s.elements for s in run_all(inst)}
-        assert pruned == {c for c in unfiltered if len(c) > p}
-
 
 class TestStackMatchesRecursion:
     """The explicit-stack traversal must replay the recursive formulation."""
@@ -575,15 +532,6 @@ class TestStackMatchesRecursion:
 
 
 class TestDelayMeters:
-    @pytest.mark.parametrize("seed", [0, 5, 9, 1001, 1015])
-    def test_bounded_traversals_between_outputs(self, seed):
-        kind = "explicit" if seed < 1000 else "graph"
-        inst = random_instance(RandomSpec(kind=kind, seed=seed))
-        for k in range(inst.q + 1):
-            stats = OracleStats()
-            enumerate_k(inst, k, stats=stats)
-            assert max_interoutput_traversals(stats) <= 3
-
     def test_p3_group1_counters(self, p3):
         stats = OracleStats()
         traversals = []  # the counter as each output reaches the sink

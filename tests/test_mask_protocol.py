@@ -18,38 +18,20 @@ from polyenum import (
     GraphConnectivityOracle,
     IdSet,
     Instance,
-    OracleStats,
     ReducedInstance,
     enumerate_all,
     enumerate_components,
 )
 from polyenum import cli
-from polyenum.testkit import PublicOnly, random_instance
+from polyenum.testkit import PublicOnly, RandomSpec, random_instance
 
-from conftest import P3_JSON, P3_SIGMA
-from test_enumerator import ACCEPTANCE_SPECS
+from conftest import ACCEPTANCE_SPECS, P3_JSON, P3_SIGMA, reference_algebra, rendered
 
 
-def rendered(run):
-    """The CLI's ``--format json`` stream of ``run(sink, stats)``, and its stats.
-
-    The stats come as the final counters plus the counters at each output,
-    which the sink reads as the solution arrives.
-    """
-    lines, stats, at_outputs = [], OracleStats(), []
-
-    def sink(s):
-        lines.append(cli._json_record(s) + "\n")
-        at_outputs.append(
-            (stats.l1_calls, stats.l2_calls, stats.rho_calls, stats.traversal_calls)
-        )
-
-    run(sink, stats)
-    # the streamed maximum is the largest traversal window the sink saw
-    windows = [b[3] - a[3] for a, b in zip(at_outputs, at_outputs[1:])]
-    assert stats.max_interoutput_traversals == max(windows, default=0)
-    assert stats.outputs == len(at_outputs)
-    return "".join(lines).encode("utf-8"), (stats.as_dict(), at_outputs)
+def assert_counts_match_log(stats, oracle):
+    """Each counted ``l1`` and ``l2`` is one query the public-only backend logged."""
+    ops = [q[0] for q in oracle.log]
+    assert (stats["l1_calls"], stats["l2_calls"]) == (ops.count("l1"), ops.count("l2"))
 
 
 @pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
@@ -61,12 +43,15 @@ def test_adapter_path_matches_shipped_backend(spec):
     got, got_stats = rendered(lambda sink, st: enumerate_all(custom, sink=sink, stats=st))
     assert got == want
     assert got_stats == want_stats
+    assert_counts_match_log(got_stats[0], custom.oracle)
+    logged = PublicOnly(inst.oracle)
     want, want_stats = rendered(
         lambda sink, st: enumerate_components(inst.oracle, inst.n, sink=sink, stats=st))
     got, got_stats = rendered(
-        lambda sink, st: enumerate_components(PublicOnly(inst.oracle), inst.n, sink=sink, stats=st))
+        lambda sink, st: enumerate_components(logged, inst.n, sink=sink, stats=st))
     assert got == want
     assert got_stats == want_stats
+    assert_counts_match_log(got_stats[0], logged)
 
 
 class ForeignL1(PublicOnly):
@@ -151,29 +136,15 @@ def test_cli_exits_2_on_an_empty_answer(monkeypatch, broken, query, mode):
         f"error: {query} answered the empty set; components are non-empty\n")
 
 
-def random_graph_oracle(rng, n):
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.3]
-    return GraphConnectivityOracle(n, edges)
-
-
-def random_explicit_oracle(rng, n):
-    masks = {rng.getrandbits(n) << 1 for _ in range(rng.randint(1, 30))} - {0}
-    return ExplicitFamilyOracle(n, [IdSet._from_mask(n, m) for m in masks or {2}])
-
-
 @pytest.mark.parametrize("seed", range(20))
-@pytest.mark.parametrize("make", [random_graph_oracle, random_explicit_oracle],
-                         ids=["graph", "explicit"])
-def test_backend_mask_queries_match_public_queries(make, seed):
+@pytest.mark.parametrize("kind", ["graph", "explicit"])
+def test_backend_mask_queries_match_public_queries(kind, seed):
     # Two identical backends, one asked on masks and one through the
     # public methods, so each keeps its own graph memo.  Queries alternate
     # between a few hulls: the memo slot is replaced and then reused.
-    rng = random.Random(seed)
-    n = rng.randint(2, 12)
-    state = rng.getstate()
-    masks = make(rng, n)
-    rng.setstate(state)
-    public = make(rng, n)
+    spec = RandomSpec(kind, n_range=(2, 12), max_family=30, edge_prob=0.3, seed=seed)
+    masks, public = random_instance(spec).oracle, random_instance(spec).oracle
+    n, rng = masks.n, random.Random(seed)
     hulls = set()
     while len(hulls) < 3:
         hulls.add((rng.getrandbits(n) << 1) or 2)
@@ -212,41 +183,18 @@ def test_public_queries_check_their_universe(backend):
         backend.l1(IdSet(3, [3]), IdSet(3, [1, 2]))
 
 
-def reference_algebra(sigma_rows, n, q):
-    """Common items, hull and slice straight from the attribute rows."""
-    rows = [None] + [set(r) for r in sigma_rows]
-
-    def common(x):
-        return IdSet(q, set.intersection(*(rows[v] for v in x)))
-
-    def hull(items):
-        return IdSet(n, [v for v in range(1, n + 1) if set(items) <= rows[v]])
-
-    def slice_(i):
-        return IdSet(n, [v for v in range(1, n + 1) if i == 0 or i in rows[v]])
-
-    return common, hull, slice_
-
-
-def random_plain_instance(rng):
-    n, q = rng.randint(1, 12), rng.randint(1, 9)
-    rows = [[i for i in range(1, q + 1) if rng.random() < 0.6] for _ in range(n)]
-    return Instance(n, q, rows, GraphConnectivityOracle(n)), rows
-
-
-def random_reduced_instance(rng):
-    n = rng.randint(1, 12)
-    rows = [[i for i in range(1, n + 1) if i != v] for v in range(1, n + 1)]
-    return ReducedInstance(n, GraphConnectivityOracle(n)), rows
-
-
 @pytest.mark.parametrize("seed", range(20))
-@pytest.mark.parametrize("make", [random_plain_instance, random_reduced_instance],
-                         ids=["instance", "reduced"])
-def test_mask_algebra_matches_public_algebra(make, seed):
-    rng = random.Random(seed)
-    inst, rows = make(rng)
-    n, q = inst.n, inst.q
+@pytest.mark.parametrize("reduced", [False, True], ids=["instance", "reduced"])
+def test_mask_algebra_matches_public_algebra(reduced, seed):
+    base = random_instance(RandomSpec("graph", n_range=(1, 12), q_range=(1, 9), seed=seed))
+    n, rng = base.n, random.Random(seed)
+    if reduced:
+        inst = ReducedInstance(n, base.oracle)
+        rows = [[i for i in range(1, n + 1) if i != v] for v in range(1, n + 1)]
+    else:
+        rows = [list(base.sigma(v)) for v in range(1, n + 1)]
+        inst = Instance(n, base.q, rows, base.oracle)
+    q = inst.q
     common, hull, slice_ = reference_algebra(rows, n, q)
     for v in range(1, n + 1):
         assert inst._sigma_mask(v) == inst.sigma(v)._mask == IdSet(q, rows[v - 1])._mask

@@ -15,12 +15,16 @@ from polyenum import (
     Instance,
     enumerate_all,
     enumerate_components,
-    subset_lex_less,
 )
-from polyenum.core import lex_sort_key
-from polyenum.testkit import materialize_components
+from polyenum.testkit import RandomSpec, materialize_components, random_instance
 
-from test_cut_vertices import graphs_and_hulls
+from conftest import (
+    families_and_queries,
+    graphs_and_hulls,
+    reference_l1,
+    reference_l2,
+    union_find_components,
+)
 
 
 def iset(n, *ids):
@@ -126,72 +130,11 @@ class TestGraphConnectivity:
         assert GraphConnectivityOracle(5).delta_hint() == 5
 
 
-def random_family_oracle(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 7)
-    masks = set()
-    for _ in range(rng.randint(1, 20)):
-        m = rng.getrandbits(n) << 1
-        if m:
-            masks.add(m)
-    if not masks:
-        masks.add(2)
-    return ExplicitFamilyOracle(n, [IdSet._from_mask(n, m) for m in sorted(masks)])
-
-
-@pytest.mark.parametrize("seed", range(30))
-def test_explicit_answers_are_consistent(seed):
-    rng = random.Random(1000 + seed)
-    oracle = random_family_oracle(seed)
-    n = oracle.n
-    for _ in range(30):
-        ym = rng.getrandbits(n) << 1
-        y = IdSet._from_mask(n, ym)
-        maximal = oracle.l2(y)
-        assert len(set(maximal)) == len(maximal)
-        for a, b in zip(maximal, maximal[1:]):
-            assert subset_lex_less(a, b)
-        for c in maximal:
-            assert c <= y
-            assert not any(c < d <= y for d in oracle.family)
-        if ym:
-            xm = ym & (rng.getrandbits(n) << 1)
-            if not xm:
-                continue
-            x = IdSet._from_mask(n, xm)
-            z = oracle.l1(x, y)
-            if z is None:
-                assert not any(x <= c <= y for c in oracle.family)
-            else:
-                assert x <= z
-                assert z in maximal
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_graph_l2_partitions_query(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 8)
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
-    g = GraphConnectivityOracle(n, edges)
-    for _ in range(30):
-        y = IdSet._from_mask(n, rng.getrandbits(n) << 1)
-        comps = g.l2(y)
-        union = IdSet(n)
-        total = 0
-        for c in comps:
-            assert c <= y
-            union = union | c
-            total += len(c)
-        assert union == y
-        assert total == len(y)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_explicit_family_of_connected_sets_matches_graph_oracle(seed):
-    rng = random.Random(40 + seed)
-    n = rng.randint(1, 6)
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.5]
-    graph = GraphConnectivityOracle(n, edges)
+    spec = RandomSpec("graph", n_range=(1, 6), edge_prob=0.5, seed=40 + seed)
+    graph = random_instance(spec).oracle
+    n = graph.n
     explicit = ExplicitFamilyOracle(n, materialize_components(graph, n))
     universe = list(range(1, n + 1))
     for r in range(n + 1):
@@ -207,19 +150,16 @@ def test_explicit_family_of_connected_sets_matches_graph_oracle(seed):
                     assert graph.l1(x, y) == explicit.l1(x, y)
 
 
-def random_graph(rng, n, p):
-    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_graph_memo_answers_like_a_fresh_oracle(seed):
     # Sparse graphs, so hulls split into several components and many x
     # straddle two of them (answer None).  Queries cycle through a small
     # pool of hulls, so the one-component slot is both reused and replaced.
     rng = random.Random(500 + seed)
-    n = rng.randint(4, 10)
-    edges = random_graph(rng, n, 0.3)
-    memo = GraphConnectivityOracle(n, edges)
+    spec = RandomSpec("graph", n_range=(4, 10), edge_prob=0.3, seed=500 + seed)
+    memo = random_instance(spec).oracle
+    n = memo.n
+    edges = [(u, v) for u, nbrs in memo.adjacency.items() for v in nbrs if u < v]
     hulls = [rng.getrandbits(n) << 1 for _ in range(4)]
     hulls = [h for h in hulls if h] or [2]
     queries = nones = replaced = 0
@@ -244,30 +184,17 @@ def test_graph_memo_answers_like_a_fresh_oracle(seed):
     assert nones > 0
 
 
-def test_graph_memo_shared_across_threads():
-    # More threads than cores on one oracle, with a short switch interval
-    # so that threads interleave inside l1: a race on the memo slot must
-    # cost work, never an answer.
-    rng = random.Random(99)
-    n = 12
-    edges = random_graph(rng, n, 0.25)
-    shared = GraphConnectivityOracle(n, edges)
-    hulls = [rng.getrandbits(n) << 1 | 2 for _ in range(3)]
-    jobs = []
-    for _ in range(6):
-        queries = []
-        for _ in range(300):
-            ym = rng.choice(hulls)
-            xm = ym & (rng.getrandbits(n) << 1) or ym & -ym
-            x, y = IdSet._from_mask(n, xm), IdSet._from_mask(n, ym)
-            queries.append((x, y, GraphConnectivityOracle(n, edges).l1(x, y)))
-        jobs.append(queries)
+def mismatches_across_threads(ask, jobs):
+    """The queries ``ask`` answered wrongly, each job of ``(args, want)`` pairs in its own thread.
+
+    A short switch interval makes the threads interleave inside ``ask``.
+    """
     mismatches = []
 
     def work(queries):
-        for x, y, want in queries:
-            if shared.l1(x, y) != want:
-                mismatches.append((x, y))
+        for args, want in queries:
+            if ask(*args) != want:
+                mismatches.append(args)
 
     threads = [threading.Thread(target=work, args=(q,)) for q in jobs]
     old = sys.getswitchinterval()
@@ -280,7 +207,29 @@ def test_graph_memo_shared_across_threads():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    assert mismatches == []
+    return mismatches
+
+
+def test_graph_memo_shared_across_threads():
+    # More threads than cores on one oracle, with a short switch interval
+    # so that threads interleave inside l1: a race on the memo slot must
+    # cost work, never an answer.
+    rng = random.Random(99)
+    n = 12
+    spec = RandomSpec("graph", n_range=(n, n), edge_prob=0.25, seed=99)
+    shared = random_instance(spec).oracle
+    edges = [(u, v) for u, nbrs in shared.adjacency.items() for v in nbrs if u < v]
+    hulls = [rng.getrandbits(n) << 1 | 2 for _ in range(3)]
+    jobs = []
+    for _ in range(6):
+        queries = []
+        for _ in range(300):
+            ym = rng.choice(hulls)
+            xm = ym & (rng.getrandbits(n) << 1) or ym & -ym
+            x, y = IdSet._from_mask(n, xm), IdSet._from_mask(n, ym)
+            queries.append(((x, y), GraphConnectivityOracle(n, edges).l1(x, y)))
+        jobs.append(queries)
+    assert mismatches_across_threads(shared.l1, jobs) == []
 
 
 def test_explicit_rows_shared_across_threads():
@@ -295,46 +244,9 @@ def test_explicit_rows_shared_across_threads():
     for _ in range(6):
         hulls = [rng.getrandbits(n) << 1 for _ in range(200)]
         fresh = ExplicitFamilyOracle(n, family)
-        jobs.append([(ym, fresh._l2_masks(n, ym)) for ym in hulls])
-    mismatches = []
-
-    def work(queries):
-        for ym, want in queries:
-            if shared._l2_masks(n, ym) != want:
-                mismatches.append(ym)
-
-    threads = [threading.Thread(target=work, args=(q,)) for q in jobs]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert mismatches == []
+        jobs.append([((n, ym), fresh._l2_masks(n, ym)) for ym in hulls])
+    assert mismatches_across_threads(shared._l2_masks, jobs) == []
     assert any(row is not None for row in shared._rows)
-
-
-def reference_l1(family, x, y):
-    """The maximal-then-least scan on IdSet operations."""
-    candidates = [c for c in family if x.issubset(c) and c.issubset(y)]
-    best = None
-    for c in candidates:
-        if any(c < d for d in candidates):
-            continue
-        if best is None or subset_lex_less(c, best):
-            best = c
-    return best
-
-
-def reference_l2(family, y):
-    candidates = [c for c in family if c.issubset(y)]
-    maximal = [c for c in candidates if not any(c < d for d in candidates)]
-    maximal.sort(key=lex_sort_key)
-    return maximal
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -368,19 +280,6 @@ def test_explicit_mask_scans_match_idset_reference(seed):
     assert ties > 0
 
 
-@st.composite
-def families_and_queries(draw):
-    """A family of 1 to 150 members over ``[1, n]`` and queries ``(x, y)`` on it."""
-    n = draw(st.integers(1, 9))
-    size = draw(st.integers(1, min(150, (1 << n) - 1)))
-    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=size, max_size=size,
-                          unique=True))
-    family = [IdSet._from_mask(n, m << 1) for m in masks]
-    queries = draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1),
-                                      st.integers(0, (1 << n) - 1)), max_size=6))
-    return n, family, [(xm << 1, ym << 1) for xm, ym in queries]
-
-
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(case=families_and_queries())
 # n = 1; an l1 with no answer ({1} is inside no member); a y that excludes
@@ -404,24 +303,6 @@ def test_explicit_bitmap_index_matches_reference(case):
         if xm:
             z = reference_l1(family, IdSet._from_mask(n, xm), y)
             assert oracle._l1_mask(n, xm, ym) == (None if z is None else z._mask)
-
-
-def union_find_components(edges, ym):
-    """The components of the subgraph induced on ``ym``, least vertex first."""
-    root = {v: v for v in range(ym.bit_length()) if ym >> v & 1}
-
-    def find(v):
-        while root[v] != v:
-            v = root[v]
-        return v
-
-    for u, v in edges:
-        if u in root and v in root:
-            root[find(u)] = find(v)
-    comps = {}
-    for v in root:
-        comps[find(v)] = comps.get(find(v), 0) | 1 << v
-    return sorted(comps.values(), key=lambda c: c & -c)
 
 
 @st.composite

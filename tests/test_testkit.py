@@ -24,8 +24,7 @@ from polyenum.testkit import (
     random_instance,
 )
 
-from conftest import P3_JSON, elems
-from test_mask_protocol import rendered
+from conftest import P3_JSON, elems, rendered
 
 
 def test_materialize_graph_components():
