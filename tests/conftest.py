@@ -11,11 +11,13 @@ import pytest
 from hypothesis import strategies as st
 
 from polyenum import (
+    ContractError,
     ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
     Instance,
     OracleStats,
+    SetSystemOracle,
     subset_lex_less,
 )
 from polyenum import cli
@@ -97,6 +99,36 @@ def graphs_and_hulls(draw, max_n=40):
     edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
     ym = draw(st.integers(0, (1 << n) - 1)) << 1
     return n, edges, ym
+
+
+@st.composite
+def graphs_hulls_and_parts(draw):
+    """``graphs_and_hulls`` plus a vertex set whose components seed the hook checks."""
+    n, edges, ym = draw(graphs_and_hulls())
+    part = draw(st.integers(0, (1 << n) - 1)) << 1
+    return n, edges, ym, part
+
+
+class DefaultHooksGraph(GraphConnectivityOracle):
+    """The graph backend with its three optional hook overrides hidden.
+
+    ``_maximal_mask``, ``_l1_growth`` and ``_l2_without`` fall back to the
+    ``SetSystemOracle`` defaults, which ask ``_l1_mask`` and ``_l2_masks``.
+    """
+
+    _maximal_mask = SetSystemOracle._maximal_mask
+    _l1_growth = SetSystemOracle._l1_growth
+    _l2_without = SetSystemOracle._l2_without
+
+
+def outcome(ask, inst, s):
+    """``ask(inst, s, stats)`` and the stats, or the error it raised."""
+    stats = OracleStats()
+    try:
+        got = ask(inst, s, stats)
+    except ContractError as e:
+        got = str(e)
+    return got, stats.as_dict()
 
 
 @st.composite

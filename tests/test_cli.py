@@ -85,6 +85,12 @@ class TestParseInstance:
 
 
 class TestRun:
+    def test_p3_golden_text(self, tmp_path):
+        path = write_doc(tmp_path, P3_DOC)
+        code, out, err = invoke(["--input", path])
+        assert code == 0
+        assert out == P3_GOLDEN
+
     def test_min_size_prunes(self, tmp_path):
         path = write_doc(tmp_path, P3_DOC)
         code, out, _ = invoke(["--input", path, "--min-size", "1"])

@@ -1,9 +1,11 @@
 """The child scan's ``l2(t - j)`` queries in components mode.
 
-``ReducedInstance`` asks them through ``SetSystemOracle._l2_without``.
-The default answers each ``j`` with its own ``_l2_masks`` query; the
-graph backend works out every ``j`` from one depth-first sweep of ``t``.
-Both must give exactly what ``_l2_masks(n, t - j)`` gives.
+``ReducedInstance`` asks them through ``SetSystemOracle._l2_without(n, t)``,
+the function ``j`` to ``_l2_masks(n, t - j)``.  The default answers each
+``j`` with its own ``_l2_masks`` query; the graph backend works out every
+``j`` from one depth-first sweep of ``t``.  Both must give exactly what
+``_l2_masks(n, t - j)`` gives.  The explicit backend and a custom backend
+take the default, so the queries a custom backend sees are pinned.
 """
 
 import hashlib
@@ -11,10 +13,8 @@ import itertools
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from polyenum import (
-    ContractError,
     ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
@@ -27,35 +27,24 @@ from polyenum import (
 from polyenum.core import lex_sort_key
 from polyenum.testkit import PublicOnly, brute_force_solutions
 
-# Triangles 1-2-3 and 3-4-5 sharing vertex 3, then the path 5-6-7-8:
-# cut vertices 3, 5, 6 and 7 (docs/bowtie.json holds the same graph).
-BOWTIE = (8, [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6), (6, 7), (7, 8)])
-# Vertex 1, the least and so the root of the sweep, has four children.
-STAR = (5, [(1, 2), (1, 3), (1, 4), (1, 5)])
-# The root's first child is 3, its second 5; 5's subtree holds 2, so the
-# components of t - 1 are not in the order the sweep found them.
-SWAPPED = (5, [(1, 3), (1, 5), (2, 5), (4, 5)])
+from conftest import (
+    BOWTIE,
+    STAR,
+    SWAPPED,
+    DefaultHooksGraph,
+    families_and_queries,
+    graphs_and_hulls,
+    graphs_hulls_and_parts,
+    mask,
+    outcome,
+    reference_l2,
+)
 
 
-def mask(*ids):
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
-
-
-def agrees_with_l2(oracle, n, tm):
-    """Ask the hook for every ``j`` of ``tm`` with ``tm - j`` non-empty."""
+def without_answers(oracle, n, tm):
+    """The hook's answer for every ``j`` of ``tm`` that leaves ``tm - j`` non-empty."""
     answer = oracle._l2_without(n, tm)
-    asked = 0
-    rest = tm
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        if tm & ~bit:
-            assert answer(bit.bit_length() - 1) == oracle._l2_masks(n, tm & ~bit)
-            asked += 1
-    return asked
+    return [answer(j) for j in range(1, n + 1) if tm >> j & 1 and tm & ~(1 << j)]
 
 
 class TestGraphHook:
@@ -91,46 +80,48 @@ class TestGraphHook:
         # before any scan asks the hook, so the outcome, a list or an
         # error, must not depend on the backend answering it.
         g = GraphConnectivityOracle(6, [(1, 2), (2, 3), (5, 6)])
-
-        def outcome(oracle, ids):
-            inst = ReducedInstance(6, oracle)
-            try:
-                return children(inst, make_solution(inst, IdSet(6, ids)))
-            except ContractError as e:
-                return str(e)
-
+        inst, custom = ReducedInstance(6, g), ReducedInstance(6, PublicOnly(g))
         for r in range(2, 6):
             for ids in itertools.combinations(range(1, 7), r):
-                assert outcome(g, ids) == outcome(PublicOnly(g), ids)
-
-
-@st.composite
-def graphs_and_hulls(draw, max_n=40):
-    """A sparse simple graph on ``[1, n]`` and a vertex set ``ym`` inside it."""
-    n = draw(st.integers(1, max_n))
-    pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
-    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
-    ym = draw(st.integers(0, (1 << n) - 1)) << 1
-    return n, edges, ym
+                s = make_solution(inst, IdSet(6, ids))
+                assert outcome(children, inst, s) == outcome(children, custom, s)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(case=graphs_and_hulls())
-@example(case=(1, [], 0b10))
-@example(case=(4, [], 0b11110))  # singletons only: nothing to ask
-@example(case=(5, [(1, 2), (2, 3), (3, 4), (4, 5)], 0b111110))  # a path: leaves and cuts
-@example(case=BOWTIE + (mask(*range(1, 9)),))
-@example(case=STAR + (mask(*range(1, 6)),))
-@example(case=SWAPPED + (mask(*range(1, 6)),))
-@example(case=(40, [(i, i + 1) for i in range(1, 40)], mask(*range(1, 41))))
+@given(case=graphs_hulls_and_parts())
+@example(case=(1, [], 0b10, 0b10))
+@example(case=(4, [], 0b11110, 0))  # singletons only: nothing to ask
+@example(case=(5, [(1, 2), (2, 3), (3, 4), (4, 5)], 0b111110, 0))  # a path: leaves and cuts
+@example(case=BOWTIE + (mask(*range(1, 9)), mask(3, 6)))
+@example(case=STAR + (mask(*range(1, 6)), 0))
+@example(case=SWAPPED + (mask(*range(1, 6)), 0))
+@example(case=(40, [(i, i + 1) for i in range(1, 40)], mask(*range(1, 41)), mask(20)))
 def test_graph_hook_matches_l2_on_every_component(case):
-    n, edges, ym = case
+    n, edges, ym, part = case
     g = GraphConnectivityOracle(n, edges)
+    plain = DefaultHooksGraph(n, edges)
     full = (1 << (n + 1)) - 2
-    for hull in (full, ym):
-        if hull:
-            for tm in g._l2_masks(n, hull):
-                agrees_with_l2(g, n, tm)
+    for hull in (ym, full):
+        if not hull:
+            continue
+        # Components inside the hull: its maximal ones, and smaller ones.
+        seeds = g._l2_masks(n, hull)
+        if hull & part:
+            seeds += g._l2_masks(n, hull & part)
+        for tm in seeds:
+            assert without_answers(g, n, tm) == without_answers(plain, n, tm)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=families_and_queries())
+@example(case=(3, [IdSet(3, [2]), IdSet(3, [1, 2]), IdSet(3, [2, 3])], []))
+def test_explicit_default_hook_matches_reference_l2(case):
+    n, family, _ = case
+    oracle = ExplicitFamilyOracle(n, family)
+    for c in family:
+        rests = [c - IdSet(n, [j]) for j in c] if len(c) > 1 else []
+        want = [[m._mask for m in reference_l2(family, rest)] for rest in rests]
+        assert without_answers(oracle, n, c._mask) == want
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)

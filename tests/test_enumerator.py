@@ -92,6 +92,14 @@ class TestParent:
         assert t.elements == elems(p3_explicit, 1, 2)
         assert t == brute_force_parent(p3_explicit, s)
 
+    def test_boundary_groups_rejected(self, p3):
+        top = make_solution(p3, elems(p3, 1, 2, 3))  # k == 0
+        with pytest.raises(ContractError):
+            parent(p3, top)
+        right = make_solution(p3, elems(p3, 2, 3))  # k == q
+        with pytest.raises(ContractError):
+            parent(p3, right)
+
     @pytest.mark.parametrize("ids, k", [((1, 2, 3), 0), ((2, 3), 2)])
     def test_boundary_groups_rejected_before_any_query(self, p3, ids, k):
         stats = OracleStats()
@@ -103,6 +111,23 @@ class TestParent:
         base = make_solution(p3, elems(p3, 1, 2))  # root of group 1
         with pytest.raises(ContractError):
             parent(p3, base)
+
+    @pytest.mark.parametrize("spec", CORPUS_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
+    def test_matches_brute_force_everywhere(self, spec):
+        inst = random_instance(spec)
+        sols = brute_force_solutions(inst)
+        for s in sols:
+            if not 1 <= s.k <= inst.q - 1:
+                continue
+            if not any(t.k == s.k and s.elements < t.elements for t in sols):
+                continue  # root of its group
+            got = parent(inst, s)
+            want = brute_force_parent(inst, s, solutions=sols)
+            assert got.elements == want.elements
+            # parent laws
+            assert got.elements > s.elements
+            assert got.k == s.k
+            assert is_solution(inst, got.elements)
 
 
 @pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
@@ -480,6 +505,16 @@ class TestEnumerateAll:
             for c in inst.oracle.l2(y):
                 assert is_solution(inst, c)
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 3, 11, 1004, 1017])
+    def test_volume_pruning_equals_filtering(self, p, seed):
+        kind = "explicit" if seed < 1000 else "graph"
+        inst = random_instance(RandomSpec(kind=kind, seed=seed))
+        pruned = {s.elements for s in run_all(inst, rho=SizeAbove(p))}
+        unfiltered = {s.elements for s in run_all(inst)}
+        assert pruned == {c for c in unfiltered if len(c) > p}
+
+
 class TestStackMatchesRecursion:
     """The explicit-stack traversal must replay the recursive formulation."""
 
@@ -532,6 +567,15 @@ class TestStackMatchesRecursion:
 
 
 class TestDelayMeters:
+    @pytest.mark.parametrize("seed", [0, 5, 9, 1001, 1015])
+    def test_bounded_traversals_between_outputs(self, seed):
+        kind = "explicit" if seed < 1000 else "graph"
+        inst = random_instance(RandomSpec(kind=kind, seed=seed))
+        for k in range(inst.q + 1):
+            stats = OracleStats()
+            enumerate_k(inst, k, stats=stats)
+            assert max_interoutput_traversals(stats) <= 3
+
     def test_p3_group1_counters(self, p3):
         stats = OracleStats()
         traversals = []  # the counter as each output reaches the sink

@@ -15,6 +15,7 @@ from polyenum import (
     Instance,
     enumerate_all,
     enumerate_components,
+    subset_lex_less,
 )
 from polyenum.testkit import RandomSpec, materialize_components, random_instance
 
@@ -128,6 +129,52 @@ class TestGraphConnectivity:
 
     def test_delta_hint(self):
         assert GraphConnectivityOracle(5).delta_hint() == 5
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_explicit_answers_are_consistent(seed):
+    rng = random.Random(1000 + seed)
+    oracle = random_instance(RandomSpec("explicit", seed=seed)).oracle
+    n = oracle.n
+    for _ in range(30):
+        ym = rng.getrandbits(n) << 1
+        y = IdSet._from_mask(n, ym)
+        maximal = oracle.l2(y)
+        assert len(set(maximal)) == len(maximal)
+        for a, b in zip(maximal, maximal[1:]):
+            assert subset_lex_less(a, b)
+        for c in maximal:
+            assert c <= y
+            assert not any(c < d <= y for d in oracle.family)
+        if ym:
+            xm = ym & (rng.getrandbits(n) << 1)
+            if not xm:
+                continue
+            x = IdSet._from_mask(n, xm)
+            z = oracle.l1(x, y)
+            if z is None:
+                assert not any(x <= c <= y for c in oracle.family)
+            else:
+                assert x <= z
+                assert z in maximal
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_graph_l2_partitions_query(seed):
+    rng = random.Random(seed)
+    g = random_instance(RandomSpec("graph", n_range=(1, 8), seed=seed)).oracle
+    n = g.n
+    for _ in range(30):
+        y = IdSet._from_mask(n, rng.getrandbits(n) << 1)
+        comps = g.l2(y)
+        union = IdSet(n)
+        total = 0
+        for c in comps:
+            assert c <= y
+            union = union | c
+            total += len(c)
+        assert union == y
+        assert total == len(y)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -5,40 +5,38 @@ time: it keeps each element ``b`` left, in ascending order, with
 ``l1(grown | b, hull)`` not ``None``.  The hook yields the kept elements.
 The default asks ``_l1_mask`` bit by bit; the graph backend yields the
 one component of the hull holding ``s``.  Both must yield the same
-elements, and the enumerator must answer and count the same whichever it
-is given.
+elements, and the enumerator must answer and count the same whether the
+graph backend's hook overrides are in place or hidden.
 """
 
 import hashlib
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from polyenum import (
-    ContractError,
     ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
     Instance,
-    OracleStats,
     ReducedInstance,
-    SetSystemOracle,
     children,
     enumerate_all,
     parent,
 )
 from polyenum.testkit import PublicOnly, RandomSpec, brute_force_solutions, random_instance
 
-from test_cut_vertices import BOWTIE, STAR, graphs_and_hulls, mask
-from test_enumerator import ACCEPTANCE_SPECS
-from test_oracles import families_and_queries, reference_l1
-
-
-class DefaultGrowthGraph(GraphConnectivityOracle):
-    """The graph backend with its ``_l1_growth`` override hidden."""
-
-    _l1_growth = SetSystemOracle._l1_growth
+from conftest import (
+    ACCEPTANCE_SPECS,
+    BOWTIE,
+    STAR,
+    DefaultHooksGraph,
+    families_and_queries,
+    graphs_hulls_and_parts,
+    mask,
+    outcome,
+    reference_l1,
+)
 
 
 class SweepCounter(GraphConnectivityOracle):
@@ -67,14 +65,6 @@ def element_pass(oracle, n, sm, ym):
     return named
 
 
-@st.composite
-def graphs_hulls_and_parts(draw):
-    """``graphs_and_hulls`` plus a vertex set whose components seed the passes."""
-    n, edges, ym = draw(graphs_and_hulls())
-    part = draw(st.integers(0, (1 << n) - 1)) << 1
-    return n, edges, ym, part
-
-
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(case=graphs_hulls_and_parts())
 @example(case=(1, [], 0b10, 0b10))
@@ -84,7 +74,7 @@ def graphs_hulls_and_parts(draw):
 def test_graph_growth_names_what_the_default_names(case):
     n, edges, ym, part = case
     g = GraphConnectivityOracle(n, edges)
-    plain = DefaultGrowthGraph(n, edges)
+    plain = DefaultHooksGraph(n, edges)
     full = (1 << (n + 1)) - 2
     for hull in (ym, full):
         if not hull:
@@ -144,16 +134,8 @@ def test_explicit_growth_is_the_greedy_reference_pass(case):
                 assert list(oracle._l1_growth(n, c._mask, ym)) == want
 
 
-def outcome(ask, inst, s):
-    """``ask(inst, s, stats)`` and the stats, or the error it raised."""
-    stats = OracleStats()
-    try:
-        got = ask(inst, s, stats)
-    except ContractError as e:
-        got = str(e)
-    return got, stats.as_dict()
-
-
+# All three graph overrides are hidden at once: the probe, the element
+# pass and the child scan.
 @pytest.mark.parametrize("reduced", [False, True], ids=["solutions", "components"])
 @pytest.mark.parametrize(
     "spec", [s for s in ACCEPTANCE_SPECS if s.kind == "graph"], ids=lambda s: f"graph{s.seed}"
@@ -162,7 +144,7 @@ def test_hidden_override_keeps_parent_children_and_counts(spec, reduced):
     inst = random_instance(spec)
     n = inst.n
     edges = [(u, v) for u, nbrs in inst.oracle.adjacency.items() for v in nbrs if u < v]
-    plain = DefaultGrowthGraph(n, edges)
+    plain = DefaultHooksGraph(n, edges)
     if reduced:
         inst, hidden = ReducedInstance(n, inst.oracle), ReducedInstance(n, plain)
     else:
