@@ -179,13 +179,14 @@ class SetSystemOracle:
     shipped backends answer on masks directly.
 
     Three optional hooks are asked about components only: the maximality
-    probe ``_maximal_mask`` (the item pass of the parent test and the
-    solution test of each candidate), the element pass ``_l1_growth`` of
-    the parent test, and ``_l2_without``, the child scan of components
-    mode.  Each states its contract in its own docstring.  Their defaults
-    ask ``_l1_mask`` and ``_l2_masks`` once per logical query, when it is
-    due, so a custom backend sees the same queries in the same order.  An
-    override may answer from one sweep, as the graph backend does.
+    factory ``_maximal_from``, asked once per solution for the parent
+    test's item pass and once per candidate for its solution test, the
+    element pass ``_l1_growth`` of the parent test, and ``_l2_without``,
+    the child scan of components mode.  Each states its contract in its
+    own docstring.  Their defaults ask ``_l1_mask`` and ``_l2_masks`` once
+    per logical query, when it is due, so a custom backend sees the same
+    queries in the same order.  An override may answer from one sweep, as
+    the graph backend does.
     """
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
@@ -238,14 +239,16 @@ class SetSystemOracle:
                 grown |= bit
                 yield bit
 
-    def _maximal_mask(self, n: int, cm: int, ym: int) -> bool:
-        """Whether the component ``cm`` is maximal within ``ym``, on masks.
+    def _maximal_from(self, n: int, cm: int, ym: int) -> Callable[[int], bool]:
+        """The function ``y`` to whether ``cm`` is maximal within ``y``, on masks.
 
-        Asked only with a component inside ``ym``, so an override may use a
-        test that holds for components only; the enumerator counts it as
-        one ``l1``.  The default holds for any set.
+        ``cm`` is a component inside ``ym``, and each ``y`` asked lies
+        inside ``ym`` and holds ``cm``, so an override may use a test that
+        holds for components only and work out once what every ``y``
+        shares.  The enumerator counts one ``l1`` per call.  The default
+        asks ``_l1_mask(n, cm, y) == cm`` once per call, when it is made.
         """
-        return self._l1_mask(n, cm, ym) == cm
+        return lambda y: self._l1_mask(n, cm, y) == cm
 
 
 class VolumeFunction:

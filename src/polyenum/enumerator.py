@@ -106,11 +106,11 @@ class _Run:
         """Whether the component ``cm`` is maximal within ``ym``: one ``l1`` call.
 
         Only for a ``cm`` known to be a component; for any other set ask
-        ``l1(cm, ym) == cm``, since a backend's probe may hold for
+        ``l1(cm, ym) == cm``, since a backend's factory may hold for
         components only.
         """
         self.stats.l1_calls += 1
-        return self.oracle._maximal_mask(self.n, cm, ym)
+        return self.oracle._maximal_from(self.n, cm, ym)(ym)
 
     def l2(self, ym: int) -> List[int]:
         self.stats.l2_calls += 1
@@ -154,14 +154,18 @@ class _Run:
         # Only the hull of the kept items is needed later, and keeping an
         # item narrows it to that item's slice.  Items only accumulate, so
         # the hull only shrinks: once it loses part of the target, the
-        # parent cannot be the target.
+        # parent cannot be the target.  Every trial hull lies inside
+        # slice(k) and holds s, so one maximality factory built on
+        # slice(k) answers them all; each item probed counts as one l1.
         hull = inst._slice_mask(k)
+        maximal_in = self.oracle._maximal_from(self.n, sm, hull)
         rest = sim & ~(1 << k)
         while rest:
             bit = rest & -rest
             rest ^= bit
             trial = hull & inst._slice_mask(bit.bit_length() - 1)
-            if not self.maximal(sm, trial):
+            self.stats.l1_calls += 1
+            if not maximal_in(trial):
                 hull = trial
                 if target is not None and target & ~hull:
                     return False
@@ -172,7 +176,7 @@ class _Run:
         # narrows the common items to its own.  The parent contains every
         # kept element, so keeping one outside the target settles the
         # answer.  A grown set need not be a component, so it is tested
-        # with l1, not with the maximality probe.  The oracle's growth hook
+        # with l1, not with the maximality factory.  The oracle's growth hook
         # yields the kept elements; each element passed over, the kept one
         # included, and each one left at the end counts as the l1 query it
         # stands for.  The solution test's hull changes only when the

@@ -23,8 +23,13 @@ component ``t``, the explicit backend keeps the lazy defaults of
 The graph backend yields a whole element pass from the one component of
 ``y`` holding the solution, and answers every ``j`` from one depth-first
 sweep of ``t``, keeping only the subtrees that sweep cuts off, O(|t|)
-memory per scan in progress.  The enumerator asks all three optional
-hooks, the maximality probe included, about components only.
+memory per scan in progress.  For the maximality factory
+``_maximal_from(n, c, y0)``, asked once per solution and answering for
+every ``y`` inside ``y0`` whether ``c`` is maximal within ``y``, the
+explicit backend keeps the default (one ``l1`` per answer); the graph
+backend takes the neighbours of ``c`` in ``y0`` once, and answers each
+``y`` with one AND.  The enumerator asks all three optional hooks about
+components only.
 """
 
 from __future__ import annotations
@@ -174,10 +179,12 @@ class GraphConnectivityOracle(_MaskBackend):
     no recursion depth is involved however large the graph gets.
     ``l1`` remembers the last component it swept and its hull, and a
     query inside that component on that hull reuses it.  The maximality
-    probe runs no sweep: a connected set is maximal within ``y`` exactly
-    when no vertex of ``y`` outside it is adjacent to it.  ``_l1_growth``
-    yields a parent test's element pass from the component of the hull
-    holding the solution, taken once.
+    factory runs no sweep: a connected set is maximal within ``y`` exactly
+    when no vertex of ``y`` outside it is adjacent to it, so it takes the
+    set's neighbours inside the outer hull once, and each ``y`` inside
+    that hull costs one AND.  ``_l1_growth`` yields a parent test's
+    element pass from the component of the hull holding the solution,
+    taken once.
     ``_l2_without`` runs one depth-first sweep of a component and answers
     ``l2(t - j)`` for every ``j`` from its cut vertices.
     """
@@ -251,21 +258,28 @@ class GraphConnectivityOracle(_MaskBackend):
             yield bit
             rest ^= bit
 
-    def _maximal_mask(self, n: int, cm: int, ym: int) -> bool:
-        # cm is connected, so it is maximal iff no vertex of ym - cm is
-        # adjacent to it.  Walk the smaller side; stop at the first edge.
+    def _maximal_from(self, n: int, cm: int, ym: int) -> Callable[[int], bool]:
+        # cm is connected, so it is maximal within y iff no vertex of y - cm
+        # is adjacent to it.  Take the neighbours of cm in ym - cm once,
+        # walking the smaller side; each y inside ym then costs one AND.
         out = ym & ~cm
-        if out.bit_count() < cm.bit_count():
-            walk, other = out, cm
-        else:
-            walk, other = cm, out
         adj = self._adj
-        while walk:
-            lsb = walk & -walk
-            if adj[lsb.bit_length() - 1] & other:
-                return False
-            walk ^= lsb
-        return True
+        nbr = 0
+        if out.bit_count() < cm.bit_count():
+            walk = out
+            while walk:
+                lsb = walk & -walk
+                if adj[lsb.bit_length() - 1] & cm:
+                    nbr |= lsb
+                walk ^= lsb
+        else:
+            walk = cm
+            while walk:
+                lsb = walk & -walk
+                nbr |= adj[lsb.bit_length() - 1]
+                walk ^= lsb
+            nbr &= out
+        return lambda y: not nbr & y
 
     def _l2_masks(self, n: int, ym: int) -> List[int]:
         comps: List[int] = []

@@ -112,11 +112,12 @@ def graphs_hulls_and_parts(draw):
 class DefaultHooksGraph(GraphConnectivityOracle):
     """The graph backend with its three optional hook overrides hidden.
 
-    ``_maximal_mask``, ``_l1_growth`` and ``_l2_without`` fall back to the
-    ``SetSystemOracle`` defaults, which ask ``_l1_mask`` and ``_l2_masks``.
+    ``_maximal_from``, ``_l1_growth`` and ``_l2_without`` fall back to the
+    ``SetSystemOracle`` defaults, which ask ``_l1_mask`` and ``_l2_masks``:
+    the maximality factory asks one ``_l1_mask`` per hull it is called on.
     """
 
-    _maximal_mask = SetSystemOracle._maximal_mask
+    _maximal_from = SetSystemOracle._maximal_from
     _l1_growth = SetSystemOracle._l1_growth
     _l2_without = SetSystemOracle._l2_without
 

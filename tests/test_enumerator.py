@@ -65,13 +65,14 @@ class TestIsSolution:
     def test_non_component_is_not_a_solution(self):
         # {1, 3} is disconnected on the path 1-2-3 and fills its own hull
         # (the elements carrying item 1), so no vertex of the hull lies
-        # outside it: the backend's neighbour probe, which holds for
+        # outside it: the backend's neighbour test, which holds for
         # components only, says "maximal".  The public test must still
         # say no, as documented for a non-component.
         oracle = GraphConnectivityOracle(3, [(1, 2), (2, 3)])
         inst = Instance(3, 2, [[1], [2], [1]], oracle)
         x = IdSet(3, [1, 3])
-        assert oracle._maximal_mask(3, x._mask, inst._hull_mask(2))
+        h = inst._hull_mask(2)
+        assert oracle._maximal_from(3, x._mask, h)(h)
         stats = OracleStats()
         assert not is_solution(inst, x, stats)
         assert stats.l1_calls == 1

@@ -1,18 +1,30 @@
-"""The maximality probe and the explicit backend's indexed ``l1``.
+"""The maximality factory and the explicit backend's indexed ``l1``.
 
-The enumerator asks ``_maximal_mask(n, c, y)`` wherever it knows ``c`` is
-a component, and counts it as one ``l1`` call.  Its contract is
-``_l1_mask(n, c, y) == c`` for every component ``c`` and every ``y``
-holding it; these tests hold both shipped backends to it over every such
-pair on seeded graphs and families, and the graph backend on drawn graphs
-too.  The explicit backend's ``l1`` answers from its per-element bitmaps;
-it must answer as ``reference_l1`` does.
+The enumerator asks ``_maximal_from(n, c, y0)`` wherever it knows ``c``
+is a component: once per solution for the parent test's item pass, and
+once per candidate for its solution test.  The function it returns is
+called only with hulls ``y`` inside ``y0`` holding ``c``, and each call
+counts as one ``l1``.  Its contract is ``_l1_mask(n, c, y) == c`` for
+every such ``y``; these tests hold both shipped backends to it over every
+component and every hull holding it on seeded graphs and families, and
+the graph backend on drawn graphs too, along whole item passes.  A count
+test checks that a run builds one factory per parent test, not one per
+item.  The explicit backend's ``l1`` answers from its per-element
+bitmaps; it must answer as ``reference_l1`` does.
 """
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle, IdSet
+from polyenum import (
+    ExplicitFamilyOracle,
+    GraphConnectivityOracle,
+    IdSet,
+    OracleStats,
+    enumerate_components,
+)
+from polyenum.enumerator import _Run
 from polyenum.testkit import RandomSpec, materialize_components, random_instance
 
 from conftest import (
@@ -42,7 +54,7 @@ def assert_probe_matches_l1(oracle, n):
     for c in comps:
         for ym in supersets_within(n, c._mask):
             want = oracle._l1_mask(n, c._mask, ym) == c._mask
-            assert oracle._maximal_mask(n, c._mask, ym) == want, (sorted(c), ym)
+            assert oracle._maximal_from(n, c._mask, ym)(ym) == want, (sorted(c), ym)
             answers.add(want)
     # The probe says no somewhere exactly when some component lies inside another.
     nested = len(comps) > len(oracle._l2_masks(n, (1 << (n + 1)) - 2))
@@ -85,7 +97,86 @@ def test_graph_probe_answers_as_the_default(case):
         if hull & part:
             seeds += g._l2_masks(n, hull & part)
         for sm in seeds:
-            assert g._maximal_mask(n, sm, hull) == plain._maximal_mask(n, sm, hull)
+            assert g._maximal_from(n, sm, hull)(hull) == plain._maximal_from(n, sm, hull)(hull)
+
+
+@st.composite
+def item_passes(draw):
+    """``graphs_hulls_and_parts`` plus the slices an item pass narrows a hull by."""
+    n, edges, ym, part = draw(graphs_hulls_and_parts())
+    slices = st.integers(0, (1 << n) - 1).map(lambda m: m << 1)
+    return n, edges, ym, part, draw(st.lists(slices, max_size=8))
+
+
+PATH40 = (40, [(i, i + 1) for i in range(1, 40)])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(case=item_passes())
+# The arc 10..20 of a path: without 9 and 21 it is maximal, with 21 back it is not.
+@example(case=PATH40 + (mask(*range(1, 41)), mask(*range(10, 21)),
+                        [mask(*range(1, 41)) & ~mask(9, 21), mask(*range(1, 41)) & ~mask(9),
+                         mask(*range(1, 41)) & ~mask(9, 21)]))
+def test_graph_factory_answers_an_item_pass_as_the_default(case):
+    n, edges, ym, part, slices = case
+    g = GraphConnectivityOracle(n, edges)
+    plain = DefaultHooksGraph(n, edges)
+    full = (1 << (n + 1)) - 2
+    for hull in (ym, full):
+        if not hull & part:
+            continue
+        for sm in g._l2_masks(n, hull & part):
+            # One factory each, built on the hull, asked along the chain of
+            # trial hulls the parent test's item pass walks: each trial
+            # keeps sm, and the hull narrows to it when sm is not maximal.
+            fast, slow = g._maximal_from(n, sm, hull), plain._maximal_from(n, sm, hull)
+            assert fast(hull) == slow(hull)
+            y = hull
+            for s in slices:
+                trial = y & (s | sm)
+                want = slow(trial)
+                assert fast(trial) == want, (sm, hull, trial)
+                if not want:
+                    y = trial
+
+
+class CountingGraph(GraphConnectivityOracle):
+    """The graph backend, counting the factories built and the hulls they answer."""
+
+    def __init__(self, n, edges):
+        super().__init__(n, edges)
+        self.built = self.answered = 0
+
+    def _maximal_from(self, n, cm, ym):
+        self.built += 1
+        maximal_in = super()._maximal_from(n, cm, ym)
+
+        def answer(y):
+            self.answered += 1
+            return maximal_in(y)
+
+        return answer
+
+
+def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
+    calls = {"_parent": 0, "maximal": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(_Run, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(_Run, name, counted)
+    g = CountingGraph(20, [(v, v % 20 + 1) for v in range(1, 21)])
+    stats = OracleStats()
+    enumerate_components(g, 20, stats=stats)
+    # The --stats counts tests/test_order_guard.py pins for this cycle.
+    assert {k: stats.as_dict()[k] for k in ("l1_calls", "l2_calls", "rho_calls",
+                                            "traversal_calls")} == {
+        "l1_calls": 12405, "l2_calls": 2472, "rho_calls": 381, "traversal_calls": 379}
+    # One factory per parent test and one per candidate's solution test,
+    # which asks it once; the parent tests ask theirs once per item, more
+    # than once each on average.
+    assert g.built <= calls["_parent"] + calls["maximal"]
+    assert g.answered - calls["maximal"] > calls["_parent"] > 0
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -345,7 +345,7 @@ def test_explicit_bitmap_index_matches_reference(case):
         assert oracle._l2_masks(n, ym) == [c._mask for c in maximal]
         for c in family:
             if c.issubset(y):
-                assert oracle._maximal_mask(n, c._mask, ym) == (c in maximal)
+                assert oracle._maximal_from(n, c._mask, ym)(ym) == (c in maximal)
         xm &= ym
         if xm:
             z = reference_l1(family, IdSet._from_mask(n, xm), y)
@@ -387,4 +387,4 @@ def test_graph_answers_match_union_find(case):
     # The probe is asked about components only: those of a part of the hull.
     for h, part in zip(hulls, parts):
         for cm in union_find_components(edges, h & part):
-            assert g._maximal_mask(n, cm, h) == (cm in want[h])
+            assert g._maximal_from(n, cm, h)(h) == (cm in want[h])
