@@ -64,6 +64,8 @@ def _require_count(doc: dict, key: str) -> int:
     value = doc.get(key)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise InstanceFormatError(f"{key}: expected a positive integer")
+    if value > sys.maxsize // 8:  # too large for any per-id table, in any mode
+        raise MemoryError
     return value
 
 
@@ -119,24 +121,25 @@ def _build_oracle(doc: dict, n: int):
     raise InstanceFormatError(f"system.kind: expected 'graph' or 'explicit', got {kind!r}")
 
 
-def parse_instance(path: str) -> Instance:
-    """Parse and validate a full instance document."""
-    doc = _load_document(path)
+def _build_instance(doc: dict, components: bool) -> Instance:
+    """The instance ``doc`` describes; with ``components``, its reduced one."""
     n = _require_count(doc, "elements")
+    if components:
+        return ReducedInstance(n, _build_oracle(doc, n))
     q = _require_count(doc, "items")
     raw_sigma = doc.get("sigma")
     if not isinstance(raw_sigma, list):
         raise InstanceFormatError("sigma: expected a list of item-id lists")
     if len(raw_sigma) != n:
-        # Checked before the oracle, whose tables take memory in n, is
-        # built.  A count past sys.maxsize // 8 is too large for any
-        # per-element table, so it is too large to build whatever sigma
-        # holds.
-        if n > sys.maxsize // 8:
-            raise MemoryError
+        # Checked before the oracle, whose tables take memory in n, is built.
         raise InstanceFormatError(f"sigma must have {n} rows, got {len(raw_sigma)}")
     sigma = [_int_list(row, f"sigma[{idx}]") for idx, row in enumerate(raw_sigma)]
     return _construct("sigma", "sigma", Instance, n, q, sigma, _build_oracle(doc, n))
+
+
+def parse_instance(path: str) -> Instance:
+    """Parse and validate a full instance document."""
+    return _build_instance(_load_document(path), False)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -276,24 +279,17 @@ def _run(argv: Optional[List[str]], out: TextIO, err: TextIO) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.components:
-            doc = _load_document(args.input)
-            n = _require_count(doc, "elements")
-            if "sigma" in doc:
-                print(
-                    "warning: sigma in the input is ignored in --components mode",
-                    file=err,
-                )
-            inst = ReducedInstance(n, _build_oracle(doc, n))
-        else:
-            inst = parse_instance(args.input)
+        doc = _load_document(args.input)
+        inst = _build_instance(doc, args.components)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=err)
         return 2
     except MemoryError:
-        # elements or items too large for the per-id tables
+        # a count past _require_count's bound, or an allocation below it
         print(f"error: {args.input}: instance too large to build", file=err)
         return 2
+    if args.components and "sigma" in doc:
+        print("warning: sigma in the input is ignored in --components mode", file=err)
 
     if args.k is not None and not 0 <= args.k <= inst.q:
         print(f"error: --k {args.k} outside [0, {inst.q}]", file=err)

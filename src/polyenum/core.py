@@ -180,13 +180,13 @@ class SetSystemOracle:
 
     Three optional hooks are asked about components only: the maximality
     factory ``_maximal_from``, asked once per solution for the parent
-    test's item pass and once per candidate for its solution test, the
-    element pass ``_l1_growth`` of the parent test, and ``_l2_without``,
-    the child scan of components mode.  Each states its contract in its
-    own docstring.  Their defaults ask ``_l1_mask`` and ``_l2_masks`` once
-    per logical query, when it is due, so a custom backend sees the same
-    queries in the same order.  An override may answer from one sweep, as
-    the graph backend does.
+    test's item pass and for the solution test of each candidate whose
+    hull is more than itself, the element pass ``_l1_growth`` of the
+    parent test, and ``_l2_without``, the child scan of components mode.
+    Each states its contract in its own docstring.  Their defaults ask
+    ``_l1_mask`` and ``_l2_masks`` once per logical query, when it is
+    due, so a custom backend sees the same queries in the same order.  An
+    override may answer from one sweep, as the graph backend does.
     """
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
@@ -329,9 +329,9 @@ class Instance:
 
     ``sigma`` is given as a sequence of ``n`` iterables; row ``v - 1``
     holds the item ids carried by element ``v``, each within ``[1, q]``
-    and none repeated.  Per-item element slices are precomputed so
-    attribute queries are mask intersections.  ``_carried`` holds the
-    items some element carries; the enumeration loops over those only.
+    and none repeated.  Element slices are precomputed, keyed by item,
+    for the items some element carries (``_carried``) only, so attribute
+    queries are mask intersections and no table is sized by ``q``.
     An oracle with an ``n`` attribute, as both shipped backends have, must
     be over ``[1, n]`` too.
     """
@@ -352,8 +352,7 @@ class Instance:
         self.q = q
         self.oracle = oracle
         self._sigma_masks = [0] * (n + 1)
-        self._item_masks = [0] * (q + 1)
-        self._item_masks[0] = (1 << (n + 1)) - 2
+        self._item_masks = {0: (1 << (n + 1)) - 2}
         self._carried = 0
         for v, row in enumerate(sigma, start=1):
             m = 0
@@ -363,7 +362,7 @@ class Instance:
                 if m >> i & 1:
                     raise ValueError(f"sigma[{v - 1}]: repeated item {i}")
                 m |= 1 << i
-                self._item_masks[i] |= 1 << v
+                self._item_masks[i] = self._item_masks.get(i, 0) | 1 << v
             self._sigma_masks[v] = m
             self._carried |= m
 
@@ -376,7 +375,7 @@ class Instance:
 
     def _slice_mask(self, i: int) -> int:
         """Elements carrying item ``i``; item 0 means all."""
-        return self._item_masks[i]
+        return self._item_masks.get(i, 0)
 
     def _l2_by_slice(self, tm: int) -> Callable[[int], List[int]]:
         """The child scan's ``l2`` queries: ``j`` to ``l2(tm & slice(j))``."""
@@ -401,11 +400,11 @@ class Instance:
 
     def _hull_mask(self, items: int) -> int:
         """Elements carrying every item of ``items``; all of them when empty."""
-        m = (1 << (self.n + 1)) - 2
         im = self._item_masks
+        m = im[0]
         while items and m:
             lsb = items & -items
-            m &= im[lsb.bit_length() - 1]
+            m &= im.get(lsb.bit_length() - 1, 0)
             items ^= lsb
         return m
 

@@ -239,7 +239,10 @@ class _Run:
                 new = im & ~tim
                 if new & -new != jbit:
                     continue  # generated for a smaller j
-                if not self.maximal(cm, inst._hull_mask(im)):
+                # A component is maximal within itself, so a hull that is cm,
+                # as every hull is in components mode, asks nothing.
+                h = inst._hull_mask(im)
+                if h != cm and not self.maximal(cm, h):
                     continue  # not a solution (an l2 answer is a component)
                 if not self._parent(cm, im, k, tm):
                     continue

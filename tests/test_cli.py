@@ -192,8 +192,8 @@ class TestRun:
         assert not out
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
-    # Python refuses a list or string of 2**62 entries at once, without
-    # allocating, so these sizes fail fast.
+    # Counts past sys.maxsize // 8 are refused before anything is
+    # allocated, so these sizes fail fast.
     @pytest.mark.parametrize("mode", [[], ["--components"]], ids=["solutions", "components"])
     @pytest.mark.parametrize(
         "system",
@@ -201,12 +201,13 @@ class TestRun:
         ids=["graph", "explicit"],
     )
     def test_too_many_elements_exits_2(self, tmp_path, mode, system):
-        doc = {"elements": 2**62, "items": 2, "system": system}
-        if not mode:
-            doc["sigma"] = []
-        path = write_doc(tmp_path, doc)
-        code, out, err = invoke(["--input", path, *mode])
-        assert (code, out, err) == (2, "", f"error: {path}: instance too large to build\n")
+        for count in (2**62, 2**64):
+            doc = {"elements": count, "items": 2, "system": system}
+            if not mode:
+                doc["sigma"] = []
+            path = write_doc(tmp_path, doc)
+            code, out, err = invoke(["--input", path, *mode])
+            assert (code, out, err) == (2, "", f"error: {path}: instance too large to build\n")
 
     def test_sigma_row_count_is_checked_before_the_oracle_is_built(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_build_oracle", None)  # calling it fails the test
@@ -219,13 +220,13 @@ class TestRun:
         ids=["graph", "explicit"],
     )
     def test_too_many_items_exits_2(self, tmp_path, system):
-        doc = {**P3_DOC, "items": 2**62, "system": system}
-        path = write_doc(tmp_path, doc)
-        code, out, err = invoke(["--input", path])
-        assert (code, out, err) == (2, "", f"error: {path}: instance too large to build\n")
-        # --components reads no item count
-        code, out, _ = invoke(["--input", path, "--components"])
-        assert code == 0 and out
+        for count in (2**62, 2**64):
+            path = write_doc(tmp_path, {**P3_DOC, "items": count, "system": system})
+            code, out, err = invoke(["--input", path])
+            assert (code, out, err) == (2, "", f"error: {path}: instance too large to build\n")
+            # --components reads no item count
+            code, out, _ = invoke(["--input", path, "--components"])
+            assert code == 0 and out
 
     @pytest.mark.parametrize(
         "system, sigma, line",

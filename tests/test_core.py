@@ -14,6 +14,7 @@ from polyenum import (
     GraphConnectivityOracle,
     OracleStats,
     ReducedInstance,
+    enumerate_all,
     subset_lex_leq,
     subset_lex_less,
 )
@@ -239,6 +240,26 @@ class TestCommonMask:
         finally:
             tracemalloc.stop()
         assert peak < 1024, peak
+
+    def test_an_item_count_past_any_table_builds(self, p3):
+        # Items 3..q are carried by no element, so they take no table.
+        runs = []
+        for q in (3, 2**62):
+            inst, stats, out = Instance(3, q, P3_SIGMA, p3.oracle), OracleStats(), []
+            enumerate_all(inst, sink=out.append, stats=stats)
+            runs.append(([(list(s.elements), list(s.items), s.k) for s in out], stats.as_dict()))
+        assert runs[0] == runs[1] and runs[0][0]
+        assert inst._slice_mask(2**62) == inst._hull_mask(1 << 2**20 | 0b10) == 0
+
+    def test_building_does_not_follow_the_declared_item_count(self):
+        oracle = GraphConnectivityOracle(3)
+        tracemalloc.start()
+        try:
+            Instance(3, 10**6, P3_SIGMA, oracle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, peak
 
     def test_reduced_instance_keeps_the_complement(self):
         red = ReducedInstance(5, GraphConnectivityOracle(5))

@@ -171,10 +171,11 @@ def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
     # The --stats counts tests/test_order_guard.py pins for this cycle.
     assert {k: stats.as_dict()[k] for k in ("l1_calls", "l2_calls", "rho_calls",
                                             "traversal_calls")} == {
-        "l1_calls": 12405, "l2_calls": 2472, "rho_calls": 381, "traversal_calls": 379}
-    # One factory per parent test and one per candidate's solution test,
-    # which asks it once; the parent tests ask theirs once per item, more
-    # than once each on average.
+        "l1_calls": 10923, "l2_calls": 2472, "rho_calls": 381, "traversal_calls": 379}
+    # One factory per parent test, asked once per item, more than once each
+    # on average.  No candidate's solution test asks one: in components
+    # mode a candidate's hull is the candidate itself.
+    assert calls["maximal"] == 0
     assert g.built <= calls["_parent"] + calls["maximal"]
     assert g.answered - calls["maximal"] > calls["_parent"] > 0
 

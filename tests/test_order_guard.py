@@ -101,7 +101,7 @@ def test_sparse_graph_80_vertices_call_counts(tmp_path):
 
 def test_components_of_a_20_cycle_call_counts(tmp_path):
     assert stats(tmp_path, cycle_doc(20), "--components") == {
-        "l1_calls": 12405, "l2_calls": 2472, "rho_calls": 381, "traversal_calls": 379}
+        "l1_calls": 10923, "l2_calls": 2472, "rho_calls": 381, "traversal_calls": 379}
 
 
 def test_explicit_nested_chains_30_elements(tmp_path):
