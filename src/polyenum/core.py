@@ -179,12 +179,11 @@ class SetSystemOracle:
     shipped backends answer on masks directly.
 
     Three optional hooks are asked about components only: the maximality
-    factory ``_maximal_from``, asked once per solution for the parent
-    test's item pass and for the solution test of each candidate whose
-    hull is more than itself, the element pass ``_l1_growth`` of the
-    parent test, and ``_l2_without``, the child scan of components mode.
-    Each states its contract in its own docstring.  Their defaults ask
-    ``_l1_mask`` and ``_l2_masks`` once per logical query, when it is
+    factory ``_maximal_from``, built on the group's slice once per child-scan
+    candidate and once per public ``parent()``; the parent test's element
+    pass ``_l1_growth``; and ``_l2_without``, the child scan of components
+    mode.  Each states its contract in its own docstring.  Their defaults
+    ask ``_l1_mask`` and ``_l2_masks`` once per logical query, when it is
     due, so a custom backend sees the same queries in the same order.  An
     override may answer from one sweep, as the graph backend does.
     """

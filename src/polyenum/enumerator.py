@@ -68,10 +68,10 @@ def make_solution(inst: Instance, elements: IdSet) -> Solution:
 class _Run:
     """One enumeration run: instance plus counters, pruning and output.
 
-    Everything inside a run works on bitmasks: ``l1``, ``l2``,
-    ``is_solution``, ``_parent`` and the candidate scan take and return
-    element and item masks.  :class:`Solution` objects are built only for
-    the solutions handed out: roots, children and the public parent.
+    Everything inside a run works on bitmasks: ``l2``, ``is_solution``,
+    ``_parent`` and the candidate scan take and return element and item
+    masks.  :class:`Solution` objects are built only for the solutions
+    handed out: roots, children and the public parent.
 
     Nothing here re-checks a query.  Each ``l1`` query asks about a
     non-empty component, or one grown from it, inside a hull that holds
@@ -98,20 +98,6 @@ class _Run:
         self.rho = rho if rho is not None else SizeAbove(0)
         self.sink = sink
 
-    def l1(self, xm: int, ym: int) -> Optional[int]:
-        self.stats.l1_calls += 1
-        return self.oracle._l1_mask(self.n, xm, ym)
-
-    def maximal(self, cm: int, ym: int) -> bool:
-        """Whether the component ``cm`` is maximal within ``ym``: one ``l1`` call.
-
-        Only for a ``cm`` known to be a component; for any other set ask
-        ``l1(cm, ym) == cm``, since a backend's factory may hold for
-        components only.
-        """
-        self.stats.l1_calls += 1
-        return self.oracle._maximal_from(self.n, cm, ym)(ym)
-
     def l2(self, ym: int) -> List[int]:
         self.stats.l2_calls += 1
         return self.oracle._l2_masks(self.n, ym)
@@ -129,18 +115,23 @@ class _Run:
         items = IdSet._from_mask(self.inst.q, im)
         return Solution(IdSet._from_mask(self.n, cm), items, items.min_id())
 
-    def is_solution(self, cm: int, im: int) -> bool:
-        """Whether ``cm``, whose common items are ``im``, is a solution."""
-        # A component is a solution iff it is already maximal among the
-        # elements carrying all of its common items: the single l1 call
-        # below answers exactly that, and says no for a non-component.
-        return self.l1(cm, self.inst._hull_mask(im)) == cm
+    def is_solution(self, xm: int, hull: int) -> bool:
+        """Whether ``xm`` is maximal within ``hull``: one counted ``l1``.
+
+        A component is a solution iff it is already maximal among the
+        elements carrying all of its common items, so with that ``hull``
+        this is the solution test; a non-component gets no.
+        """
+        self.stats.l1_calls += 1
+        return self.oracle._l1_mask(self.n, xm, hull) == xm
 
     def _parent(
-        self, sm: int, sim: int, k: int, target: Optional[int] = None
+        self, sm: int, sim: int, k: int, maximal_in: Callable[[int], bool],
+        target: Optional[int] = None,
     ) -> Union[Tuple[int, int], bool]:
         """Parent of the solution ``sm`` with items ``sim`` in inner group ``k``.
 
+        ``maximal_in`` is the maximality factory of ``sm`` on ``slice(k)``.
         Returns the parent's element and item masks, or with ``target``
         whether the parent's elements are ``target``.  Both questions share
         one routine.  With a target the passes stop at the first step that
@@ -155,10 +146,9 @@ class _Run:
         # item narrows it to that item's slice.  Items only accumulate, so
         # the hull only shrinks: once it loses part of the target, the
         # parent cannot be the target.  Every trial hull lies inside
-        # slice(k) and holds s, so one maximality factory built on
-        # slice(k) answers them all; each item probed counts as one l1.
+        # slice(k) and holds s, so maximal_in answers them all; each item
+        # probed counts as one l1.
         hull = inst._slice_mask(k)
-        maximal_in = self.oracle._maximal_from(self.n, sm, hull)
         rest = sim & ~(1 << k)
         while rest:
             bit = rest & -rest
@@ -193,7 +183,7 @@ class _Run:
             kept = items & inst._sigma_mask(bit.bit_length() - 1)
             if kept != items or items_hull is None:
                 items, items_hull = kept, inst._hull_mask(kept)
-            if self.l1(grown, items_hull) == grown:
+            if self.is_solution(grown, items_hull):
                 if target is not None:
                     return grown == target
                 return grown, items
@@ -220,7 +210,7 @@ class _Run:
         tm, tim, k = t.elements._mask, t.items._mask, t.k
         if not (k and inst._carried >> (k + 1)):
             return  # group 0, or no item above k carried: t has no children
-        kbit = 1 << k
+        kbit, vk = 1 << k, inst._slice_mask(k)
         l2_in_slice = inst._l2_by_slice(tm)
         # The items above k that t lacks and some element carries; the
         # others have no element in t's slice to ask about.
@@ -239,12 +229,16 @@ class _Run:
                 new = im & ~tim
                 if new & -new != jbit:
                     continue  # generated for a smaller j
-                # A component is maximal within itself, so a hull that is cm,
-                # as every hull is in components mode, asks nothing.
+                # cm's hull h lies inside slice(k), so one factory answers the
+                # solution test and the item pass.  A hull that is cm, as every
+                # hull is in components mode, asks nothing.
+                maximal_in = self.oracle._maximal_from(self.n, cm, vk)
                 h = inst._hull_mask(im)
-                if h != cm and not self.maximal(cm, h):
-                    continue  # not a solution (an l2 answer is a component)
-                if not self._parent(cm, im, k, tm):
+                if h != cm:
+                    self.stats.l1_calls += 1
+                    if not maximal_in(h):
+                        continue  # not a solution
+                if not self._parent(cm, im, k, maximal_in, tm):
                     continue
                 yield self.solution(cm, im)
 
@@ -283,8 +277,8 @@ def is_solution(
     ``component`` should be a component of the instance's system; for a
     non-component the answer is False.
     """
-    items = inst.common_item_set(component)
-    return _Run(inst, stats).is_solution(component._mask, items._mask)
+    hull = inst._hull_mask(inst.common_item_set(component)._mask)
+    return _Run(inst, stats).is_solution(component._mask, hull)
 
 
 def _solution_run(
@@ -304,7 +298,7 @@ def _solution_run(
     if needs_parent and not (t.k and inst._carried >> (t.k + 1)):
         raise ContractError(f"solutions in group {t.k} are roots and have no parent")
     run = _Run(inst, stats, rho, sink)
-    if not run.is_solution(t.elements._mask, t.items._mask):
+    if not run.is_solution(t.elements._mask, inst._hull_mask(t.items._mask)):
         raise ContractError(f"{t.elements!r} is not a solution")
     return run
 
@@ -319,7 +313,8 @@ def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> 
     element carries an item above ``k``.
     """
     run = _solution_run(inst, s, stats, needs_parent=True)
-    return run.solution(*run._parent(s.elements._mask, s.items._mask, s.k))
+    maximal_in = inst.oracle._maximal_from(inst.n, s.elements._mask, inst._slice_mask(s.k))
+    return run.solution(*run._parent(s.elements._mask, s.items._mask, s.k, maximal_in))
 
 
 def children(

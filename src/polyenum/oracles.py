@@ -24,7 +24,7 @@ The graph backend yields a whole element pass from the one component of
 ``y`` holding the solution, and answers every ``j`` from one depth-first
 sweep of ``t``, keeping only the subtrees that sweep cuts off, O(|t|)
 memory per scan in progress.  For the maximality factory
-``_maximal_from(n, c, y0)``, asked once per solution and answering for
+``_maximal_from(n, c, y0)``, built once per candidate and answering for
 every ``y`` inside ``y0`` whether ``c`` is maximal within ``y``, the
 explicit backend keeps the default (one ``l1`` per answer); the graph
 backend takes the neighbours of ``c`` in ``y0`` once, and answers each

@@ -17,7 +17,6 @@ from polyenum import (
     IdSet,
     Instance,
     OracleStats,
-    SetSystemOracle,
     subset_lex_less,
 )
 from polyenum import cli
@@ -107,19 +106,6 @@ def graphs_hulls_and_parts(draw):
     n, edges, ym = draw(graphs_and_hulls())
     part = draw(st.integers(0, (1 << n) - 1)) << 1
     return n, edges, ym, part
-
-
-class DefaultHooksGraph(GraphConnectivityOracle):
-    """The graph backend with its three optional hook overrides hidden.
-
-    ``_maximal_from``, ``_l1_growth`` and ``_l2_without`` fall back to the
-    ``SetSystemOracle`` defaults, which ask ``_l1_mask`` and ``_l2_masks``:
-    the maximality factory asks one ``_l1_mask`` per hull it is called on.
-    """
-
-    _maximal_from = SetSystemOracle._maximal_from
-    _l1_growth = SetSystemOracle._l1_growth
-    _l2_without = SetSystemOracle._l2_without
 
 
 def outcome(ask, inst, s):

@@ -31,7 +31,6 @@ from conftest import (
     BOWTIE,
     STAR,
     SWAPPED,
-    DefaultHooksGraph,
     families_and_queries,
     graphs_and_hulls,
     graphs_hulls_and_parts,
@@ -99,7 +98,7 @@ class TestGraphHook:
 def test_graph_hook_matches_l2_on_every_component(case):
     n, edges, ym, part = case
     g = GraphConnectivityOracle(n, edges)
-    plain = DefaultHooksGraph(n, edges)
+    plain = PublicOnly(GraphConnectivityOracle(n, edges))
     full = (1 << (n + 1)) - 2
     for hull in (ym, full):
         if not hull:

@@ -142,10 +142,11 @@ def test_parent_target_test_agrees_with_full_parent(spec):
         if not 1 <= s.k <= inst.q - 1 or not any(s.elements < t.elements for t in group):
             continue  # root of its group
         p = parent(inst, s)
+        maximal_in = inst.oracle._maximal_from(inst.n, s.elements._mask, inst._slice_mask(s.k))
         for t in group:
-            assert run._parent(s.elements._mask, s.items._mask, s.k, t.elements._mask) == (
-                p.elements == t.elements
-            )
+            assert run._parent(
+                s.elements._mask, s.items._mask, s.k, maximal_in, t.elements._mask
+            ) == (p.elements == t.elements)
 
 
 def parent_from_scratch(inst, s):
@@ -202,13 +203,14 @@ def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
         assert got.items == inst.common_item_set(got.elements)
         # One l1 more, first: the check that s is a solution.
         assert oracle.log == [("l1", s.elements._mask, inst._hull_mask(s.items._mask))] + want_log
+        maximal_in = inst.oracle._maximal_from(inst.n, s.elements._mask, inst._slice_mask(s.k))
         for t in group:
             if not s.elements < t.elements:
                 continue  # only a strict superset can be the parent
             oracle.log = []
-            assert run._parent(s.elements._mask, s.items._mask, s.k, t.elements._mask) == (
-                got.elements == t.elements
-            )
+            assert run._parent(
+                s.elements._mask, s.items._mask, s.k, maximal_in, t.elements._mask
+            ) == (got.elements == t.elements)
             assert oracle.log == want_log[: len(oracle.log)]
 
 

@@ -1,15 +1,17 @@
 """The maximality factory and the explicit backend's indexed ``l1``.
 
-The enumerator asks ``_maximal_from(n, c, y0)`` wherever it knows ``c``
-is a component: once per solution for the parent test's item pass, and
-once per candidate for its solution test.  The function it returns is
-called only with hulls ``y`` inside ``y0`` holding ``c``, and each call
-counts as one ``l1``.  Its contract is ``_l1_mask(n, c, y) == c`` for
-every such ``y``; these tests hold both shipped backends to it over every
-component and every hull holding it on seeded graphs and families, and
-the graph backend on drawn graphs too, along whole item passes.  A count
-test checks that a run builds one factory per parent test, not one per
-item.  The explicit backend's ``l1`` answers from its per-element
+The enumerator asks ``_maximal_from(n, c, y0)`` once per child-scan
+candidate ``c`` and once in the public ``parent()``, always with ``y0``
+the slice of the group's item.  The one factory answers the candidate's
+solution test and every trial hull of its parent test's item pass.  The
+function it returns is called only with hulls ``y`` inside ``y0``
+holding ``c``, and each call counts as one ``l1``.  Its contract is
+``_l1_mask(n, c, y) == c`` for every such ``y``; these tests hold both
+shipped backends to it over every component and every hull holding it on
+seeded graphs and families, and the graph backend on drawn graphs too,
+along whole item passes.  Count tests check that a run builds one
+factory per parent test, not one per item, and that no candidate gets a
+second.  The explicit backend's ``l1`` answers from its per-element
 bitmaps; it must answer as ``reference_l1`` does.
 """
 
@@ -21,16 +23,24 @@ from polyenum import (
     ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
+    Instance,
     OracleStats,
+    children,
     enumerate_components,
 )
 from polyenum.enumerator import _Run
-from polyenum.testkit import RandomSpec, materialize_components, random_instance
+from polyenum.testkit import (
+    PublicOnly,
+    RandomSpec,
+    brute_force_solutions,
+    materialize_components,
+    random_instance,
+)
 
 from conftest import (
+    ACCEPTANCE_SPECS,
     BOWTIE,
     STAR,
-    DefaultHooksGraph,
     graphs_hulls_and_parts,
     mask,
     reference_l1,
@@ -87,7 +97,7 @@ def test_explicit_probe_matches_l1_on_every_member(seed):
 def test_graph_probe_answers_as_the_default(case):
     n, edges, ym, part = case
     g = GraphConnectivityOracle(n, edges)
-    plain = DefaultHooksGraph(n, edges)
+    plain = PublicOnly(GraphConnectivityOracle(n, edges))
     full = (1 << (n + 1)) - 2
     for hull in (ym, full):
         if not hull:
@@ -120,7 +130,7 @@ PATH40 = (40, [(i, i + 1) for i in range(1, 40)])
 def test_graph_factory_answers_an_item_pass_as_the_default(case):
     n, edges, ym, part, slices = case
     g = GraphConnectivityOracle(n, edges)
-    plain = DefaultHooksGraph(n, edges)
+    plain = PublicOnly(GraphConnectivityOracle(n, edges))
     full = (1 << (n + 1)) - 2
     for hull in (ym, full):
         if not hull & part:
@@ -141,14 +151,17 @@ def test_graph_factory_answers_an_item_pass_as_the_default(case):
 
 
 class CountingGraph(GraphConnectivityOracle):
-    """The graph backend, counting the factories built and the hulls they answer."""
+    """The graph backend, listing the component of each factory it builds.
+
+    ``answered`` counts the hulls those factories answer.
+    """
 
     def __init__(self, n, edges):
         super().__init__(n, edges)
-        self.built = self.answered = 0
+        self.built, self.answered = [], 0
 
     def _maximal_from(self, n, cm, ym):
-        self.built += 1
+        self.built.append(cm)
         maximal_in = super()._maximal_from(n, cm, ym)
 
         def answer(y):
@@ -159,12 +172,13 @@ class CountingGraph(GraphConnectivityOracle):
 
 
 def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
-    calls = {"_parent": 0, "maximal": 0}
-    for name in calls:
-        def counted(*args, _name=name, _f=getattr(_Run, name)):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(_Run, name, counted)
+    calls = {"_parent": 0}
+
+    def counted(*args, _f=_Run._parent):
+        calls["_parent"] += 1
+        return _f(*args)
+
+    monkeypatch.setattr(_Run, "_parent", counted)
     g = CountingGraph(20, [(v, v % 20 + 1) for v in range(1, 21)])
     stats = OracleStats()
     enumerate_components(g, 20, stats=stats)
@@ -173,11 +187,27 @@ def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
                                             "traversal_calls")} == {
         "l1_calls": 10923, "l2_calls": 2472, "rho_calls": 381, "traversal_calls": 379}
     # One factory per parent test, asked once per item, more than once each
-    # on average.  No candidate's solution test asks one: in components
-    # mode a candidate's hull is the candidate itself.
-    assert calls["maximal"] == 0
-    assert g.built <= calls["_parent"] + calls["maximal"]
-    assert g.answered - calls["maximal"] > calls["_parent"] > 0
+    # on average.  In components mode a candidate's hull is the candidate
+    # itself, so no solution test asks it.
+    assert len(g.built) == calls["_parent"]
+    assert g.answered > calls["_parent"] > 0
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in ACCEPTANCE_SPECS if s.kind == "graph"], ids=lambda s: f"graph{s.seed}"
+)
+def test_children_build_one_factory_per_candidate(spec):
+    # A candidate whose hull is more than itself asks the factory for its
+    # solution test, then hands the same one to its parent test.
+    inst = random_instance(spec)
+    n = inst.n
+    edges = [(u, v) for u, nbrs in inst.oracle.adjacency.items() for v in nbrs if u < v]
+    g = CountingGraph(n, edges)
+    counting = Instance(n, inst.q, [list(inst.sigma(v)) for v in range(1, n + 1)], g)
+    for t in brute_force_solutions(inst):
+        g.built = []
+        children(counting, t)
+        assert len(g.built) == len(set(g.built)), (t, g.built)
 
 
 @pytest.mark.parametrize("seed", range(12))
