@@ -178,14 +178,9 @@ class SetSystemOracle:
     components meets the ``l1`` precondition by construction.  The
     shipped backends answer on masks directly.
 
-    Three optional hooks are asked about components only: the maximality
-    factory ``_maximal_from``, built on the group's slice once per child-scan
-    candidate and once per public ``parent()``; the parent test's element
-    pass ``_l1_growth``; and ``_l2_without``, the child scan of components
-    mode.  Each states its contract in its own docstring.  Their defaults
-    ask ``_l1_mask`` and ``_l2_masks`` once per logical query, when it is
-    due, so a custom backend sees the same queries in the same order.  An
-    override may answer from one sweep, as the graph backend does.
+    Three optional hooks, ``_maximal_from``, ``_l1_growth`` and
+    ``_l2_without``, each state their contract in their own docstring.
+    The graph backend overrides all three; the explicit backend none.
     """
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
@@ -210,24 +205,29 @@ class SetSystemOracle:
     def _l2_without(self, n: int, tm: int) -> Callable[[int], List[int]]:
         """The function ``j`` to ``_l2_masks(n, tm - j)``, for ``j`` in ``tm``.
 
-        ``tm`` is a component, and ``j`` leaves ``tm - j`` non-empty.  The
-        enumerator counts one ``l2`` per call.  The default asks
-        ``_l2_masks`` once per call, when it is made.
+        The child scan of components mode builds one per node ``tm``, a
+        component, and calls it for the ``j`` above the node's group whose
+        removal leaves ``tm - j`` non-empty.  An override may answer every
+        ``j`` from one sweep of ``tm``.  The default asks ``_l2_masks(n, tm
+        - j)`` once per call, when it is made, and nothing when built.
+        ``OracleStats`` counts one ``l2`` per call.
         """
         return lambda j: self._l2_masks(n, tm & ~(1 << j))
 
     def _l1_growth(self, n: int, sm: int, ym: int) -> Iterator[int]:
         """The elements the parent test's element pass keeps, ascending.
 
-        ``sm`` is a component inside ``ym``.  The pass grows ``grown``,
-        starting from ``sm``, through the elements of ``ym - sm`` in
-        ascending order, and keeps each bit ``b`` with ``_l1_mask(n, grown
-        | b, ym)`` not ``None``, adding it to ``grown``.  The generator
-        yields each kept bit; the enumerator counts one ``l1`` for every
-        element passed over, the kept one included, and for all those
-        left when the generator is exhausted.  The default asks
-        ``_l1_mask`` bit by bit, only when the next kept element is asked
-        for, so a pass the enumerator stops early asks nothing more.
+        The parent test ``_Run._parent`` asks it once per call, with ``sm``
+        the component it asks about and ``ym`` the hull its item pass
+        settled on, which holds ``sm``.  The pass grows ``grown``, starting
+        from ``sm``, through the elements of ``ym - sm`` in ascending order,
+        and keeps each bit ``b`` with ``_l1_mask(n, grown | b, ym)`` not
+        ``None``, adding it to ``grown``; the generator yields each kept
+        bit.  The default asks ``_l1_mask`` bit by bit, only when the next
+        kept element is asked for, so a pass stopped early asks nothing
+        more.  ``OracleStats`` counts one ``l1`` for every element passed
+        over, the kept one included, and for all those left when the
+        generator is exhausted.
         """
         grown = sm
         rest = ym & ~sm
@@ -241,11 +241,15 @@ class SetSystemOracle:
     def _maximal_from(self, n: int, cm: int, ym: int) -> Callable[[int], bool]:
         """The function ``y`` to whether ``cm`` is maximal within ``y``, on masks.
 
-        ``cm`` is a component inside ``ym``, and each ``y`` asked lies
-        inside ``ym`` and holds ``cm``, so an override may use a test that
-        holds for components only and work out once what every ``y``
-        shares.  The enumerator counts one ``l1`` per call.  The default
-        asks ``_l1_mask(n, cm, y) == cm`` once per call, when it is made.
+        The parent test ``_Run._parent`` builds one per call, with ``cm``
+        the component it asks about and ``ym`` the slice of its group's
+        item.  A child test calls it first on the hull of ``cm``'s items,
+        the solution test, unless that hull is ``cm``; the item pass calls
+        it on each trial hull.  Each ``y`` lies inside ``ym`` and holds
+        ``cm``, so an override may use a test that holds for components
+        only and work out once what every ``y`` shares.  The default asks
+        ``_l1_mask(n, cm, y) == cm`` once per call, when it is made, and
+        nothing when built.  ``OracleStats`` counts one ``l1`` per call.
         """
         return lambda y: self._l1_mask(n, cm, y) == cm
 

@@ -126,19 +126,30 @@ class _Run:
         return self.oracle._l1_mask(self.n, xm, hull) == xm
 
     def _parent(
-        self, sm: int, sim: int, k: int, maximal_in: Callable[[int], bool],
-        target: Optional[int] = None,
+        self, sm: int, sim: int, k: int, target: Optional[int] = None
     ) -> Union[Tuple[int, int], bool]:
         """Parent of the solution ``sm`` with items ``sim`` in inner group ``k``.
 
-        ``maximal_in`` is the maximality factory of ``sm`` on ``slice(k)``.
-        Returns the parent's element and item masks, or with ``target``
-        whether the parent's elements are ``target``.  Both questions share
-        one routine.  With a target the passes stop at the first step that
-        rules it out, which is what makes the child test cheap: most
-        candidates fail within a few oracle calls.
+        Returns the parent's element and item masks.  With ``target`` it is
+        the child test instead: whether the component ``sm`` is a solution
+        whose parent's elements are ``target``.  Both questions share one
+        routine and one maximality factory of ``sm`` on ``slice(k)``, built
+        here.  With a target each step stops at the first answer that rules
+        it out, which is what makes the child test cheap: most candidates
+        fail within a few oracle calls.
         """
         inst = self.inst
+        hull = inst._slice_mask(k)
+        maximal_in = self.oracle._maximal_from(self.n, sm, hull)
+        # The solution test: sm is a solution iff it is maximal within the
+        # hull of its items, which lies inside slice(k) and holds sm.  A
+        # hull that is sm itself, as every hull is in components mode, asks
+        # nothing.  The public parent() has tested its record already.
+        items_hull = inst._hull_mask(sim)
+        if target is not None and items_hull != sm:
+            self.stats.l1_calls += 1
+            if not maximal_in(items_hull):
+                return False
         # First pass: decide the parent's item set, one item at a time in
         # ascending order.  An item survives exactly when some component
         # strictly above s still carries the items kept so far plus it.
@@ -148,7 +159,6 @@ class _Run:
         # parent cannot be the target.  Every trial hull lies inside
         # slice(k) and holds s, so maximal_in answers them all; each item
         # probed counts as one l1.
-        hull = inst._slice_mask(k)
         rest = sim & ~(1 << k)
         while rest:
             bit = rest & -rest
@@ -171,7 +181,7 @@ class _Run:
         # included, and each one left at the end counts as the l1 query it
         # stands for.  The solution test's hull changes only when the
         # common items shrink.
-        grown, items, items_hull = sm, sim, None
+        grown, items = sm, sim
         rest = hull & ~sm
         for bit in self.oracle._l1_growth(self.n, sm, hull):
             passed = rest & ((bit << 1) - 1)
@@ -181,7 +191,7 @@ class _Run:
                 return False
             grown |= bit
             kept = items & inst._sigma_mask(bit.bit_length() - 1)
-            if kept != items or items_hull is None:
+            if kept != items:
                 items, items_hull = kept, inst._hull_mask(kept)
             if self.is_solution(grown, items_hull):
                 if target is not None:
@@ -200,17 +210,18 @@ class _Run:
         candidates are the maximal components of ``t`` restricted to the
         ``j``-carrying elements.  A candidate is a child when its group is
         ``k``, when ``j`` is the smallest new item it gains over ``t``
-        (each child is generated for exactly one ``j``), when it is a
-        solution, and when its computed parent is ``t`` itself.  Checks
-        run cheapest first; the parent recomputation dominates.  The
-        instance hands out the ``l2`` answers per ``j``, so a backend may
-        work out those of one ``t`` together; each still counts as one call.
+        (each child is generated for exactly one ``j``), and when the child
+        test ``_parent(c, items, k, t)`` says it is a solution whose parent
+        is ``t`` itself.  Checks run cheapest first; the child test
+        dominates.  The instance hands out the ``l2`` answers per ``j``, so
+        a backend may work out those of one ``t`` together; each still
+        counts as one call.
         """
         inst = self.inst
         tm, tim, k = t.elements._mask, t.items._mask, t.k
         if not (k and inst._carried >> (k + 1)):
             return  # group 0, or no item above k carried: t has no children
-        kbit, vk = 1 << k, inst._slice_mask(k)
+        kbit = 1 << k
         l2_in_slice = inst._l2_by_slice(tm)
         # The items above k that t lacks and some element carries; the
         # others have no element in t's slice to ask about.
@@ -229,18 +240,8 @@ class _Run:
                 new = im & ~tim
                 if new & -new != jbit:
                     continue  # generated for a smaller j
-                # cm's hull h lies inside slice(k), so one factory answers the
-                # solution test and the item pass.  A hull that is cm, as every
-                # hull is in components mode, asks nothing.
-                maximal_in = self.oracle._maximal_from(self.n, cm, vk)
-                h = inst._hull_mask(im)
-                if h != cm:
-                    self.stats.l1_calls += 1
-                    if not maximal_in(h):
-                        continue  # not a solution
-                if not self._parent(cm, im, k, maximal_in, tm):
-                    continue
-                yield self.solution(cm, im)
+                if self._parent(cm, im, k, tm):
+                    yield self.solution(cm, im)
 
     def descend(self, root: Solution) -> None:
         """Emit every kept descendant of ``root``, stack-based.
@@ -313,8 +314,7 @@ def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> 
     element carries an item above ``k``.
     """
     run = _solution_run(inst, s, stats, needs_parent=True)
-    maximal_in = inst.oracle._maximal_from(inst.n, s.elements._mask, inst._slice_mask(s.k))
-    return run.solution(*run._parent(s.elements._mask, s.items._mask, s.k, maximal_in))
+    return run.solution(*run._parent(s.elements._mask, s.items._mask, s.k))
 
 
 def children(

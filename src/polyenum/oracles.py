@@ -15,21 +15,12 @@ envelope of the enumeration does not depend on either memo.
 Both backends answer the enumerator's mask queries (``_l1_mask``,
 ``_l2_masks``) directly.  They share one public ``l1``/``l2``, which
 checks the query and wraps each mask answer in a fresh :class:`IdSet`.
-For the parent test's element pass, which keeps each element ``b`` of
-a hull ``y`` with ``l1(grown | b, y)`` not ``None``, and for the
-components-mode child scan, which asks ``l2(t - j)`` for each ``j`` of a
-component ``t``, the explicit backend keeps the lazy defaults of
-``_l1_growth`` and ``_l2_without`` (one mask query per logical one).
-The graph backend yields a whole element pass from the one component of
-``y`` holding the solution, and answers every ``j`` from one depth-first
-sweep of ``t``, keeping only the subtrees that sweep cuts off, O(|t|)
-memory per scan in progress.  For the maximality factory
-``_maximal_from(n, c, y0)``, built once per candidate and answering for
-every ``y`` inside ``y0`` whether ``c`` is maximal within ``y``, the
-explicit backend keeps the default (one ``l1`` per answer); the graph
-backend takes the neighbours of ``c`` in ``y0`` once, and answers each
-``y`` with one AND.  The enumerator asks all three optional hooks about
-components only.
+Of the optional hooks, whose contracts :class:`SetSystemOracle` states,
+the graph backend overrides all three and the explicit backend none:
+
+* ``_maximal_from``: the component's neighbours once, one AND per answer;
+* ``_l1_growth``: the one component of the hull holding the start set;
+* ``_l2_without``: one depth-first sweep, by cut vertices.
 """
 
 from __future__ import annotations

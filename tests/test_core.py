@@ -43,6 +43,8 @@ class TestIdSet:
             IdSet(3, [4])
         with pytest.raises(ValueError):
             IdSet(3, [0])
+        with pytest.raises(ValueError, match=r"^capacity must be non-negative, got -1$"):
+            IdSet(-1)
 
     def test_algebra(self):
         a = IdSet(5, [1, 2, 4])
@@ -135,6 +137,11 @@ class TestInstanceQueries:
         for v in (1, 2, 3):
             assert p3.common_item_set(elems(p3, v)) == p3.sigma(v)
 
+    @pytest.mark.parametrize("v", [0, 4])
+    def test_sigma_rejects_an_element_outside_the_universe(self, p3, v):
+        with pytest.raises(ValueError, match=rf"^element {v} outside \[1, 3\]$"):
+            p3.sigma(v)
+
     def test_common_item_set_rejects_empty(self, p3):
         with pytest.raises(ContractError):
             p3.common_item_set(elems(p3))
@@ -143,6 +150,8 @@ class TestInstanceQueries:
         assert p3.elements_with_items(items(p3, 1)) == elems(p3, 1, 2)
         assert p3.elements_with_items(items(p3, 1, 2)) == elems(p3, 2)
         assert p3.elements_with_items(items(p3)) == IdSet.full(p3.n)
+        with pytest.raises(ValueError, match=r"^item set from a different universe$"):
+            p3.elements_with_items(IdSet(p3.q + 1, [1]))
 
     def test_elements_with_item_sentinel(self, p3):
         assert p3.elements_with_item(0) == IdSet.full(p3.n)

@@ -31,6 +31,7 @@ from polyenum.testkit import (
     RandomSpec,
     brute_force_parent,
     brute_force_solutions,
+    materialize_components,
     max_interoutput_traversals,
     random_instance,
 )
@@ -142,10 +143,9 @@ def test_parent_target_test_agrees_with_full_parent(spec):
         if not 1 <= s.k <= inst.q - 1 or not any(s.elements < t.elements for t in group):
             continue  # root of its group
         p = parent(inst, s)
-        maximal_in = inst.oracle._maximal_from(inst.n, s.elements._mask, inst._slice_mask(s.k))
         for t in group:
             assert run._parent(
-                s.elements._mask, s.items._mask, s.k, maximal_in, t.elements._mask
+                s.elements._mask, s.items._mask, s.k, t.elements._mask
             ) == (p.elements == t.elements)
 
 
@@ -202,16 +202,61 @@ def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
         assert got == want
         assert got.items == inst.common_item_set(got.elements)
         # One l1 more, first: the check that s is a solution.
-        assert oracle.log == [("l1", s.elements._mask, inst._hull_mask(s.items._mask))] + want_log
-        maximal_in = inst.oracle._maximal_from(inst.n, s.elements._mask, inst._slice_mask(s.k))
+        solution_test = ("l1", s.elements._mask, inst._hull_mask(s.items._mask))
+        assert oracle.log == [solution_test] + want_log
         for t in group:
             if not s.elements < t.elements:
                 continue  # only a strict superset can be the parent
             oracle.log = []
             assert run._parent(
-                s.elements._mask, s.items._mask, s.k, maximal_in, t.elements._mask
+                s.elements._mask, s.items._mask, s.k, t.elements._mask
             ) == (got.elements == t.elements)
-            assert oracle.log == want_log[: len(oracle.log)]
+            # The child test asks the solution test first, unless s fills
+            # its hull, then a prefix of the parent's own queries.
+            log = oracle.log
+            if solution_test[2] != s.elements._mask:
+                assert log[0] == solution_test
+                log = log[1:]
+            assert log == want_log[: len(log)]
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
+def test_child_test_asks_the_solution_test_first(spec):
+    """``_parent`` with a target is the whole child test of a component.
+
+    In an inner group, a component whose hull is more than itself is asked
+    the solution test first: one counted and one logged ``l1``.  A
+    non-solution stops there.  A solution then asks what its parent test
+    asks, and one that fills its hull asks nothing more than that.
+    """
+    plain = random_instance(spec)
+    oracle = PublicOnly(plain.oracle)
+    inst = Instance(plain.n, plain.q, [list(plain.sigma(v)) for v in range(1, plain.n + 1)],
+                    oracle)
+    sols = {s.elements for s in brute_force_solutions(plain)}
+    for c in materialize_components(plain.oracle, plain.n):
+        s = make_solution(inst, c)  # a record only: c need not be a solution
+        cm, im, k = c._mask, s.items._mask, s.k
+        if not (k and inst._carried >> (k + 1)):
+            continue  # group 0, or no item above k: no child test asks about c
+        hull = inst._hull_mask(im)
+        asked = [] if hull == cm else [("l1", cm, hull)]
+        if c not in sols:
+            assert asked  # a component that fills its hull is a solution
+            stats, oracle.log = OracleStats(), []
+            assert _Run(inst, stats)._parent(cm, im, k, inst._slice_mask(k)) is False
+            assert (stats.l1_calls, oracle.log) == (1, asked)
+            continue
+        full, oracle.log = OracleStats(), []
+        try:
+            pm, _ = _Run(inst, full)._parent(cm, im, k)
+        except ContractError:
+            continue  # a root of its group has no parent
+        want_log = oracle.log
+        stats, oracle.log = OracleStats(), []
+        assert _Run(inst, stats)._parent(cm, im, k, pm) is True
+        assert oracle.log == asked + want_log
+        assert stats.l1_calls == len(asked) + full.l1_calls
 
 
 class TestChildren:

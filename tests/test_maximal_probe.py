@@ -1,18 +1,17 @@
 """The maximality factory and the explicit backend's indexed ``l1``.
 
-The enumerator asks ``_maximal_from(n, c, y0)`` once per child-scan
-candidate ``c`` and once in the public ``parent()``, always with ``y0``
-the slice of the group's item.  The one factory answers the candidate's
-solution test and every trial hull of its parent test's item pass.  The
-function it returns is called only with hulls ``y`` inside ``y0``
-holding ``c``, and each call counts as one ``l1``.  Its contract is
-``_l1_mask(n, c, y) == c`` for every such ``y``; these tests hold both
-shipped backends to it over every component and every hull holding it on
-seeded graphs and families, and the graph backend on drawn graphs too,
-along whole item passes.  Count tests check that a run builds one
-factory per parent test, not one per item, and that no candidate gets a
-second.  The explicit backend's ``l1`` answers from its per-element
-bitmaps; it must answer as ``reference_l1`` does.
+The enumerator builds ``_maximal_from(n, c, y0)`` once per parent test,
+in ``_Run._parent``, always with ``y0`` the slice of the group's item.
+The one factory answers a child-scan candidate's solution test and every
+trial hull of the item pass.  The function it returns is called only
+with hulls ``y`` inside ``y0`` holding ``c``, and each call counts as
+one ``l1``.  Its contract is ``_l1_mask(n, c, y) == c`` for every such
+``y``; these tests hold both shipped backends to it over every component
+and every hull holding it on seeded graphs and families, and the graph
+backend on drawn graphs too, along whole item passes.  Count tests check
+that a run builds one factory per parent test, not one per item, and
+that no candidate gets a second.  The explicit backend's ``l1`` answers
+from its per-element bitmaps; it must answer as ``reference_l1`` does.
 """
 
 import pytest

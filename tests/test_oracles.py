@@ -66,6 +66,8 @@ class TestExplicitFamily:
             ExplicitFamilyOracle(3, [[4]])
         with pytest.raises(ValueError, match=r"^family\[1\]: id 5 outside \[1, 3\]$"):
             ExplicitFamilyOracle(3, [[1], [1, 5]])
+        with pytest.raises(ValueError, match=r"^need at least one element$"):
+            ExplicitFamilyOracle(0, [])
 
     def test_repeated_element_in_a_member_rejected(self):
         with pytest.raises(ValueError, match=r"family\[1\]: repeated element"):
