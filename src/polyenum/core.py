@@ -206,11 +206,12 @@ class SetSystemOracle:
         """The function ``j`` to ``_l2_masks(n, tm - j)``, for ``j`` in ``tm``.
 
         The child scan of components mode builds one per node ``tm``, a
-        component, and calls it for the ``j`` above the node's group whose
-        removal leaves ``tm - j`` non-empty.  An override may answer every
-        ``j`` from one sweep of ``tm``.  The default asks ``_l2_masks(n, tm
-        - j)`` once per call, when it is made, and nothing when built.
-        ``OracleStats`` counts one ``l2`` per call.
+        component holding an element above its group, and calls it for the
+        ``j`` above the group whose removal leaves ``tm - j`` non-empty.
+        An override may answer every ``j`` from one sweep of ``tm``.  The
+        default asks ``_l2_masks(n, tm - j)`` once per call, when it is
+        made, and nothing when built.  ``OracleStats`` counts one ``l2`` per
+        call.
         """
         return lambda j: self._l2_masks(n, tm & ~(1 << j))
 

@@ -24,7 +24,7 @@ can proceed in parallel with separate sinks and stats.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional
 
 from .core import (
     ContractError,
@@ -68,7 +68,7 @@ def make_solution(inst: Instance, elements: IdSet) -> Solution:
 class _Run:
     """One enumeration run: instance plus counters, pruning and output.
 
-    Everything inside a run works on bitmasks: ``l2``, ``is_solution``,
+    Everything inside a run works on bitmasks: ``is_solution``,
     ``_parent`` and the candidate scan take and return element and item
     masks.  :class:`Solution` objects are built only for the solutions
     handed out: roots, children and the public parent.
@@ -98,10 +98,6 @@ class _Run:
         self.rho = rho if rho is not None else SizeAbove(0)
         self.sink = sink
 
-    def l2(self, ym: int) -> List[int]:
-        self.stats.l2_calls += 1
-        return self.oracle._l2_masks(self.n, ym)
-
     def rho_positive(self, elements: IdSet) -> bool:
         self.stats.rho_calls += 1
         return self.rho.positive(elements)
@@ -125,18 +121,15 @@ class _Run:
         self.stats.l1_calls += 1
         return self.oracle._l1_mask(self.n, xm, hull) == xm
 
-    def _parent(
-        self, sm: int, sim: int, k: int, target: Optional[int] = None
-    ) -> Union[Tuple[int, int], bool]:
-        """Parent of the solution ``sm`` with items ``sim`` in inner group ``k``.
+    def _parent(self, sm: int, sim: int, k: int, target: Optional[int] = None) -> int:
+        """Element mask of the parent of ``sm``, with items ``sim``, in group ``k``.
 
-        Returns the parent's element and item masks.  With ``target`` it is
-        the child test instead: whether the component ``sm`` is a solution
-        whose parent's elements are ``target``.  Both questions share one
-        routine and one maximality factory of ``sm`` on ``slice(k)``, built
-        here.  With a target each step stops at the first answer that rules
-        it out, which is what makes the child test cheap: most candidates
-        fail within a few oracle calls.
+        Without ``target``, ``sm`` is a non-root solution.  With one, this
+        is the child test: the component ``sm`` is a child of ``target``
+        exactly when the result equals ``target``.  The answer is 0 as soon
+        as a step rules that out, which is what makes the child test cheap:
+        most candidates fail within a few oracle calls.  Both questions
+        share one maximality factory of ``sm`` on ``slice(k)``, built here.
         """
         inst = self.inst
         hull = inst._slice_mask(k)
@@ -149,7 +142,7 @@ class _Run:
         if target is not None and items_hull != sm:
             self.stats.l1_calls += 1
             if not maximal_in(items_hull):
-                return False
+                return 0
         # First pass: decide the parent's item set, one item at a time in
         # ascending order.  An item survives exactly when some component
         # strictly above s still carries the items kept so far plus it.
@@ -168,7 +161,7 @@ class _Run:
             if not maximal_in(trial):
                 hull = trial
                 if target is not None and target & ~hull:
-                    return False
+                    return 0
         # Second pass: grow the element set greedily in ascending id order.
         # An element is kept when some component within the hull still
         # contains everything grown so far plus it; the first grown set
@@ -188,15 +181,13 @@ class _Run:
             self.stats.l1_calls += passed.bit_count()
             rest ^= passed
             if target is not None and not target & bit:
-                return False
+                return 0
             grown |= bit
             kept = items & inst._sigma_mask(bit.bit_length() - 1)
             if kept != items:
                 items, items_hull = kept, inst._hull_mask(kept)
             if self.is_solution(grown, items_hull):
-                if target is not None:
-                    return grown == target
-                return grown, items
+                return grown
         self.stats.l1_calls += rest.bit_count()
         raise ContractError(
             "no strict superset solution found; the input is a root of its "
@@ -211,21 +202,21 @@ class _Run:
         ``j``-carrying elements.  A candidate is a child when its group is
         ``k``, when ``j`` is the smallest new item it gains over ``t``
         (each child is generated for exactly one ``j``), and when the child
-        test ``_parent(c, items, k, t)`` says it is a solution whose parent
-        is ``t`` itself.  Checks run cheapest first; the child test
-        dominates.  The instance hands out the ``l2`` answers per ``j``, so
-        a backend may work out those of one ``t`` together; each still
-        counts as one call.
+        test ``_parent(c, items, k, t)`` returns ``t``'s elements.  Checks
+        run cheapest first; the child test dominates.  A node in group 0,
+        or with no such ``j``, has no children and asks nothing.  The
+        instance hands out the ``l2`` answers per ``j``, so a backend may
+        work out those of one ``t`` together; each still counts as one call.
         """
         inst = self.inst
         tm, tim, k = t.elements._mask, t.items._mask, t.k
-        if not (k and inst._carried >> (k + 1)):
-            return  # group 0, or no item above k carried: t has no children
         kbit = 1 << k
-        l2_in_slice = inst._l2_by_slice(tm)
         # The items above k that t lacks and some element carries; the
         # others have no element in t's slice to ask about.
         rest = inst._carried & ~tim & -(kbit << 1)
+        if not (k and rest):
+            return
+        l2_in_slice = inst._l2_by_slice(tm)
         while rest:
             jbit = rest & -rest
             rest ^= jbit
@@ -240,7 +231,7 @@ class _Run:
                 new = im & ~tim
                 if new & -new != jbit:
                     continue  # generated for a smaller j
-                if self._parent(cm, im, k, tm):
+                if self._parent(cm, im, k, tm) == tm:
                     yield self.solution(cm, im)
 
     def descend(self, root: Solution) -> None:
@@ -314,7 +305,8 @@ def parent(inst: Instance, s: Solution, stats: Optional[OracleStats] = None) -> 
     element carries an item above ``k``.
     """
     run = _solution_run(inst, s, stats, needs_parent=True)
-    return run.solution(*run._parent(s.elements._mask, s.items._mask, s.k))
+    pm = run._parent(s.elements._mask, s.items._mask, s.k)
+    return run.solution(pm, inst._common_mask(pm))
 
 
 def children(
@@ -361,7 +353,8 @@ def enumerate_k(
     vk = inst._slice_mask(k)
     if not vk:
         return
-    for cm in run.l2(vk):
+    run.stats.l2_calls += 1
+    for cm in run.oracle._l2_masks(run.n, vk):
         t = run.solution(cm, inst._common_mask(cm))
         if t.k != k or not run.rho_positive(t.elements):
             continue

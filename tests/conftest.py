@@ -168,6 +168,47 @@ def union_find_components(edges, ym):
     return sorted(comps.values(), key=lambda c: c & -c)
 
 
+def connected_set_count(n, edges):
+    """How many non-empty vertex sets of a forest, or of a cycle, on ``[1, n]`` are connected.
+
+    In a forest with each tree rooted, ``f(v) = prod(1 + f(c))`` over the
+    children ``c`` of ``v`` counts the connected sets whose vertex nearest
+    the root is ``v``, and the total sums ``f`` over all vertices.  The
+    cycle ``C_n`` has ``n(n - 1) + 1``: from each vertex an arc of 1 to
+    ``n - 1`` vertices going one way round, and the whole cycle.
+    """
+    adj = [[] for _ in range(n + 1)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    up = [None] * (n + 1)  # each vertex's parent in its tree, 0 at a root
+    f = [1] * (n + 1)
+    total = trees = 0
+    cyclic = False
+    for r in range(1, n + 1):
+        if up[r] is not None:
+            continue
+        trees += 1
+        up[r], order, stack = 0, [], [r]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w in adj[v]:
+                if up[w] is None:
+                    up[w] = v
+                    stack.append(w)
+                elif w != up[v]:
+                    cyclic = True  # w was reached another way
+        for v in reversed(order):  # children before their parents
+            total += f[v]
+            if up[v]:
+                f[up[v]] *= 1 + f[v]
+    if cyclic:
+        assert trees == 1 and all(len(a) == 2 for a in adj[1:]), "neither a forest nor a cycle"
+        return n * (n - 1) + 1
+    return total
+
+
 def reference_algebra(sigma_rows, n, q):
     """Common items, hull and slice straight from the attribute rows."""
     rows = [None] + [set(r) for r in sigma_rows]

@@ -1,10 +1,14 @@
+import random
+
 import pytest
+from conftest import connected_set_count, union_find_components
 
 from polyenum import (
     ContractError,
     ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
+    OracleStats,
     ReducedInstance,
     SizeAbove,
     enumerate_components,
@@ -17,10 +21,33 @@ def path_oracle(m):
     return GraphConnectivityOracle(m, [(i, i + 1) for i in range(1, m)])
 
 
-def collect_components(oracle, n, rho=None):
+def collect_components(oracle, n, rho=None, stats=None):
     out = []
-    enumerate_components(oracle, n, rho=rho, sink=out.append)
+    enumerate_components(oracle, n, rho=rho, sink=out.append, stats=stats)
     return out
+
+
+def caterpillar(rng, first):
+    """A 30-42 vertex path from ``first`` on, then 1-3 leaves hung off it."""
+    spine = rng.randint(30, 42)
+    edges = [(v, v + 1) for v in range(first, first + spine - 1)]
+    leaves = rng.randint(1, 3)
+    edges += [(rng.randrange(first, first + spine), first + spine + i) for i in range(leaves)]
+    return spine + leaves, edges
+
+
+def large_graph(kind, seed):
+    """A cycle on ``seed`` vertices, a caterpillar or two, randomly relabelled."""
+    rng = random.Random(seed)
+    if kind == "cycle":
+        n, edges = seed, [(v, v % seed + 1) for v in range(1, seed + 1)]
+    else:
+        n, edges = caterpillar(rng, 1)
+        if kind == "forest":
+            m, more = caterpillar(rng, n + 1)
+            n, edges = n + m, edges + more
+    label = rng.sample(range(1, n + 1), n)
+    return n, [(label[u - 1], label[v - 1]) for u, v in edges]
 
 
 class TestReduction:
@@ -92,6 +119,24 @@ class TestEnumerateComponents:
         got = [s.elements for s in collect_components(base.oracle, base.n)]
         assert len(got) == len(set(got))
         assert set(got) == set(materialize_components(base.oracle, base.n))
+
+    @pytest.mark.parametrize(
+        "kind, seed",
+        [("cycle", 40), ("cycle", 50)] + [("caterpillar", s) for s in range(6)] + [("forest", 6)],
+    )
+    def test_counts_match_the_formula_beyond_materializing(self, kind, seed):
+        """Above ``MATERIALIZE_BOUND`` vertices the count certifies the run."""
+        n, edges = large_graph(kind, seed)
+        oracle = GraphConnectivityOracle(n, edges)
+        stats = OracleStats()
+        got = collect_components(oracle, n, stats=stats)
+        want = connected_set_count(n, edges)
+        assert len(got) == stats.outputs == want
+        assert len({s.elements for s in got}) == want
+        full = IdSet.full(n)
+        for s in got:
+            assert len(union_find_components(edges, s.elements._mask)) == 1
+            assert s.items == full - s.elements
 
     @pytest.mark.parametrize("seed", range(15))
     def test_reproduces_explicit_families(self, seed):

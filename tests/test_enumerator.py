@@ -143,10 +143,12 @@ def test_parent_target_test_agrees_with_full_parent(spec):
         if not 1 <= s.k <= inst.q - 1 or not any(s.elements < t.elements for t in group):
             continue  # root of its group
         p = parent(inst, s)
+        assert run._parent(s.elements._mask, s.items._mask, s.k) == p.elements._mask
         for t in group:
-            assert run._parent(
-                s.elements._mask, s.items._mask, s.k, t.elements._mask
-            ) == (p.elements == t.elements)
+            tm = t.elements._mask
+            assert (run._parent(s.elements._mask, s.items._mask, s.k, tm) == tm) == (
+                p.elements == t.elements
+            )
 
 
 def parent_from_scratch(inst, s):
@@ -208,9 +210,10 @@ def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
             if not s.elements < t.elements:
                 continue  # only a strict superset can be the parent
             oracle.log = []
-            assert run._parent(
-                s.elements._mask, s.items._mask, s.k, t.elements._mask
-            ) == (got.elements == t.elements)
+            tm = t.elements._mask
+            assert (run._parent(s.elements._mask, s.items._mask, s.k, tm) == tm) == (
+                got.elements == t.elements
+            )
             # The child test asks the solution test first, unless s fills
             # its hull, then a prefix of the parent's own queries.
             log = oracle.log
@@ -244,17 +247,17 @@ def test_child_test_asks_the_solution_test_first(spec):
         if c not in sols:
             assert asked  # a component that fills its hull is a solution
             stats, oracle.log = OracleStats(), []
-            assert _Run(inst, stats)._parent(cm, im, k, inst._slice_mask(k)) is False
+            assert _Run(inst, stats)._parent(cm, im, k, inst._slice_mask(k)) == 0
             assert (stats.l1_calls, oracle.log) == (1, asked)
             continue
         full, oracle.log = OracleStats(), []
         try:
-            pm, _ = _Run(inst, full)._parent(cm, im, k)
+            pm = _Run(inst, full)._parent(cm, im, k)
         except ContractError:
             continue  # a root of its group has no parent
         want_log = oracle.log
         stats, oracle.log = OracleStats(), []
-        assert _Run(inst, stats)._parent(cm, im, k, pm) is True
+        assert _Run(inst, stats)._parent(cm, im, k, pm) == pm
         assert oracle.log == asked + want_log
         assert stats.l1_calls == len(asked) + full.l1_calls
 

@@ -196,8 +196,8 @@ def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
     "spec", [s for s in ACCEPTANCE_SPECS if s.kind == "graph"], ids=lambda s: f"graph{s.seed}"
 )
 def test_children_build_one_factory_per_candidate(spec):
-    # A candidate whose hull is more than itself asks the factory for its
-    # solution test, then hands the same one to its parent test.
+    # Each candidate's child test is one _parent call, which builds one
+    # factory for it: no candidate gets two.
     inst = random_instance(spec)
     n = inst.n
     edges = [(u, v) for u, nbrs in inst.oracle.adjacency.items() for v in nbrs if u < v]
