@@ -28,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import compress
 from typing import List, Optional, Set, TextIO
 
 from .components import ReducedInstance
@@ -183,14 +184,39 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The decimal string of each id below 1024, and bytes.translate's table
+# from the characters of a bin() string to selector bytes 0 and 1.
+_SMALL_IDS = tuple(map(str, range(1 << 10)))
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _id_strings(mask: int) -> List[str]:
+    """The members of ``mask`` as decimal strings, ascending.
+
+    One ``bin()`` string, reversed so that character ``i`` stands for bit
+    ``i``, selects the small ids from ``_SMALL_IDS``; ``str.find`` walks
+    it for the larger ones, so the time is linear in the largest id.
+    """
+    bits = bin(mask)[:1:-1]
+    out = list(compress(_SMALL_IDS, bits.encode().translate(_BITS)))
+    i = bits.find("1", len(_SMALL_IDS))
+    while i >= 0:
+        out.append(str(i))
+        i = bits.find("1", i + 1)
+    return out
+
+
 def _text_record(s: Solution) -> str:
-    elems = " ".join(str(v) for v in s.elements)
-    items = " ".join(str(i) for i in s.items) or "-"
+    elems = " ".join(_id_strings(s.elements._mask))
+    items = " ".join(_id_strings(s.items._mask)) or "-"
     return f"{elems}\t{items}"
 
 
 def _json_record(s: Solution) -> str:
-    return json.dumps({"elements": list(s.elements), "items": list(s.items), "k": s.k})
+    """``json.dumps`` of the record's elements, items and group id, byte for byte."""
+    elems = ", ".join(_id_strings(s.elements._mask))
+    items = ", ".join(_id_strings(s.items._mask))
+    return f'{{"elements": [{elems}], "items": [{items}], "k": {s.k}}}'
 
 
 def _expected(inst: Instance, args) -> Set[IdSet]:

@@ -56,6 +56,38 @@ class ReducedInstance(Instance):
         # for the j in tm, so each query is l2(tm - j): the oracle's hook.
         return self.oracle._l2_without(self.n, tm)
 
+    def _parent_from_witness(
+        self, stats: OracleStats, sm: int, k: int, w: Optional[int], target: Optional[int]
+    ) -> Optional[int]:
+        # The items of sm are V - sm and slice(i) is V - i.  The item pass
+        # drops item i from the hull while sm stays short of maximal, that
+        # is while some bit of w is left; so it drops every item but
+        # u = max(w), and the hull ends as sm | u.  By the witness contract
+        # that is a component, so the element pass keeps u and its
+        # solution test says yes.  With a target, the first dropped item of
+        # the target ends the test.  A zero w means sm is a root: the
+        # passes raise.  Every hull of sm is sm, so no solution test comes
+        # first.
+        if not w:
+            return None
+        u = 1 << (w.bit_length() - 1)
+        rest = self._full & ~sm & ~(1 << k)
+        if target is not None:
+            miss = target & ~sm & ~u
+            if miss:
+                first = miss & -miss
+                stats.l1_calls += (rest & ((first << 1) - 1)).bit_count()
+                return 0
+        stats.l1_calls += rest.bit_count() + 2
+        return sm | u
+
+    def _last_group(self, mm: int) -> int:
+        # A component in group k > 1 holds 1..k-1, and so does the mm it
+        # lies in: k is at most the least element mm lacks, and is any k
+        # when mm lacks none.
+        items = self._full & ~mm
+        return (items & -items).bit_length() - 1 if items else self.n
+
 
 def enumerate_components(
     oracle: SetSystemOracle,

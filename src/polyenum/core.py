@@ -178,7 +178,7 @@ class SetSystemOracle:
     components meets the ``l1`` precondition by construction.  The
     shipped backends answer on masks directly.
 
-    Three optional hooks, ``_maximal_from``, ``_l1_growth`` and
+    Three optional hooks, ``_neighbours``, ``_l1_growth`` and
     ``_l2_without``, each state their contract in their own docstring.
     The graph backend overrides all three; the explicit backend none.
     """
@@ -239,20 +239,23 @@ class SetSystemOracle:
                 grown |= bit
                 yield bit
 
-    def _maximal_from(self, n: int, cm: int, ym: int) -> Callable[[int], bool]:
-        """The function ``y`` to whether ``cm`` is maximal within ``y``, on masks.
+    def _neighbours(self, n: int, cm: int, ym: int) -> Optional[int]:
+        """A witness for the maximality of the component ``cm``, or ``None``.
 
-        The parent test ``_Run._parent`` builds one per call, with ``cm``
+        The parent test ``_Run._parent`` asks it once per call, with ``cm``
         the component it asks about and ``ym`` the slice of its group's
-        item.  A child test calls it first on the hull of ``cm``'s items,
-        the solution test, unless that hull is ``cm``; the item pass calls
-        it on each trial hull.  Each ``y`` lies inside ``ym`` and holds
-        ``cm``, so an override may use a test that holds for components
-        only and work out once what every ``y`` shares.  The default asks
-        ``_l1_mask(n, cm, y) == cm`` once per call, when it is made, and
-        nothing when built.  ``OracleStats`` counts one ``l1`` per call.
+        item, which holds ``cm``.  An answer ``w`` is a mask inside
+        ``ym - cm`` such that ``cm | b`` is a component for every bit ``b``
+        of ``w``, and ``cm`` is maximal within any ``y`` inside ``ym`` that
+        holds ``cm`` exactly when ``not w & y``.  The parent test then
+        answers each maximality question with one AND, and the
+        components-mode instance answers the whole test from ``w``.  The
+        default answers ``None``, and the parent test asks
+        ``_l1_mask(n, cm, y) == cm`` for each ``y`` instead.
+        ``OracleStats`` counts the logical ``l1`` calls the test stands for
+        either way, and nothing for this call.
         """
-        return lambda y: self._l1_mask(n, cm, y) == cm
+        return None
 
 
 class VolumeFunction:
@@ -411,6 +414,27 @@ class Instance:
             m &= im.get(lsb.bit_length() - 1, 0)
             items ^= lsb
         return m
+
+    def _parent_from_witness(
+        self, stats: OracleStats, sm: int, k: int, w: Optional[int], target: Optional[int]
+    ) -> Optional[int]:
+        """The parent test ``_Run._parent(sm, ..., k, target)`` answered from
+        the witness ``w`` alone, or ``None`` to run its passes.
+
+        ``w`` is the backend's ``_neighbours`` answer for ``sm`` on
+        ``slice(k)``.  An answer adds to ``stats`` the ``l1`` calls the
+        passes count.  Here the passes always run.
+        """
+        return None
+
+    def _last_group(self, mm: int) -> int:
+        """A bound on the group of any solution inside ``mm``.
+
+        ``enumerate_all`` asks it of each maximal component of the
+        universe and asks about no group above the largest answer.  Here
+        ``q``, no bound.
+        """
+        return self.q
 
     def sigma(self, v: int) -> IdSet:
         """Attribute set of element ``v``."""

@@ -129,11 +129,23 @@ class _Run:
         exactly when the result equals ``target``.  The answer is 0 as soon
         as a step rules that out, which is what makes the child test cheap:
         most candidates fail within a few oracle calls.  Both questions
-        share one maximality factory of ``sm`` on ``slice(k)``, built here.
+        ask whether ``sm`` is maximal within hulls inside ``slice(k)``: one
+        AND each against the backend's witness, or one ``l1`` each without
+        one.  An instance that can answer the whole test from the witness
+        does so first.
         """
-        inst = self.inst
+        inst, oracle, n = self.inst, self.oracle, self.n
         hull = inst._slice_mask(k)
-        maximal_in = self.oracle._maximal_from(self.n, sm, hull)
+        w = oracle._neighbours(n, sm, hull)
+        pm = inst._parent_from_witness(self.stats, sm, k, w, target)
+        if pm is not None:
+            return pm
+        if w is None:
+            def maximal_in(y: int) -> bool:
+                return oracle._l1_mask(n, sm, y) == sm
+        else:
+            def maximal_in(y: int) -> bool:
+                return not w & y
         # The solution test: sm is a solution iff it is maximal within the
         # hull of its items, which lies inside slice(k) and holds sm.  A
         # hull that is sm itself, as every hull is in components mode, asks
@@ -169,7 +181,7 @@ class _Run:
         # narrows the common items to its own.  The parent contains every
         # kept element, so keeping one outside the target settles the
         # answer.  A grown set need not be a component, so it is tested
-        # with l1, not with the maximality factory.  The oracle's growth hook
+        # with l1, not with maximal_in.  The oracle's growth hook
         # yields the kept elements; each element passed over, the kept one
         # included, and each one left at the end counts as the l1 query it
         # stands for.  The solution test's hull changes only when the
@@ -260,6 +272,29 @@ class _Run:
             self.stats.traversal_calls += 1
             stack.append((self.child_candidates(child), None if before else child))
 
+    def roots(self, k: int) -> Iterator[int]:
+        """Emit group ``k``'s kept solutions, and yield each root's mask.
+
+        The roots are the answer of one ``l2`` query on ``slice(k)``, all
+        of it whatever their group.  Each root that belongs to the group is
+        emitted and, when ``k > 0`` and some element carries an item above
+        ``k``, its tree is traversed before the root is yielded.  When no
+        element carries item ``k`` there is nothing to do and the oracle is
+        not queried at all.
+        """
+        inst = self.inst
+        vk = inst._slice_mask(k)
+        if not vk:
+            return
+        self.stats.l2_calls += 1
+        for cm in self.oracle._l2_masks(self.n, vk):
+            t = self.solution(cm, inst._common_mask(cm))
+            if t.k == k and self.rho_positive(t.elements):
+                self.emit(t)
+                if k and inst._carried >> (k + 1):
+                    self.descend(t)
+            yield cm
+
 
 def is_solution(
     inst: Instance, component: IdSet, stats: Optional[OracleStats] = None
@@ -343,24 +378,13 @@ def enumerate_k(
     Roots come from one l2 query on the elements carrying item ``k``
     (``k = 0`` queries the whole universe); each root that belongs to the
     group is emitted and, when ``k > 0`` and some element carries an item
-    above ``k``, its tree is traversed.  When
-    no element carries item ``k`` there is nothing to do and the oracle is
-    not queried at all.
+    above ``k``, its tree is traversed.  When no element carries item
+    ``k`` there is nothing to do and the oracle is not queried at all.
     """
     if not 0 <= k <= inst.q:
         raise ValueError(f"group id {k} outside [0, {inst.q}]")
-    run = _Run(inst, stats, rho, sink)
-    vk = inst._slice_mask(k)
-    if not vk:
-        return
-    run.stats.l2_calls += 1
-    for cm in run.oracle._l2_masks(run.n, vk):
-        t = run.solution(cm, inst._common_mask(cm))
-        if t.k != k or not run.rho_positive(t.elements):
-            continue
-        run.emit(t)
-        if k and inst._carried >> (k + 1):
-            run.descend(t)
+    for _ in _Run(inst, stats, rho, sink).roots(k):
+        pass
 
 
 def enumerate_all(
@@ -373,10 +397,22 @@ def enumerate_all(
 
     Runs the per-group enumeration for group 0 and for each item some
     element carries, in ascending order; no other group has a solution.
-    The groups partition the solution family, so nothing repeats.
+    The groups partition the solution family, so nothing repeats.  Group
+    0's roots are the maximal components of the universe, and every
+    component lies inside one of them, so the instance's ``_last_group``
+    of each bounds the groups worth asking about; the run stops past the
+    largest.
     """
-    groups = inst._carried | 1
+    run = _Run(inst, stats, rho, sink)
+    last = 0
+    for mm in run.roots(0):
+        last = max(last, inst._last_group(mm))
+    groups = inst._carried
     while groups:
         kbit = groups & -groups
         groups ^= kbit
-        enumerate_k(inst, kbit.bit_length() - 1, rho=rho, sink=sink, stats=stats)
+        k = kbit.bit_length() - 1
+        if k > last:
+            return
+        for _ in run.roots(k):
+            pass

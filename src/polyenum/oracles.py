@@ -18,7 +18,8 @@ checks the query and wraps each mask answer in a fresh :class:`IdSet`.
 Of the optional hooks, whose contracts :class:`SetSystemOracle` states,
 the graph backend overrides all three and the explicit backend none:
 
-* ``_maximal_from``: the component's neighbours once, one AND per answer;
+* ``_neighbours``: the component's neighbours in the hull, one walk, which
+  answers each maximality question with one AND;
 * ``_l1_growth``: the one component of the hull holding the start set;
 * ``_l2_without``: one depth-first sweep, by cut vertices.
 """
@@ -170,10 +171,10 @@ class GraphConnectivityOracle(_MaskBackend):
     no recursion depth is involved however large the graph gets.
     ``l1`` remembers the last component it swept and its hull, and a
     query inside that component on that hull reuses it.  The maximality
-    factory runs no sweep: a connected set is maximal within ``y`` exactly
-    when no vertex of ``y`` outside it is adjacent to it, so it takes the
-    set's neighbours inside the outer hull once, and each ``y`` inside
-    that hull costs one AND.  ``_l1_growth`` yields a parent test's
+    witness runs no sweep: a connected set is maximal within ``y`` exactly
+    when no vertex of ``y`` outside it is adjacent to it, so the witness is
+    the set's neighbours inside the outer hull, and each ``y`` inside that
+    hull costs one AND.  ``_l1_growth`` yields a parent test's
     element pass from the component of the hull holding the solution,
     taken once.
     ``_l2_without`` runs one depth-first sweep of a component and answers
@@ -249,10 +250,11 @@ class GraphConnectivityOracle(_MaskBackend):
             yield bit
             rest ^= bit
 
-    def _maximal_from(self, n: int, cm: int, ym: int) -> Callable[[int], bool]:
+    def _neighbours(self, n: int, cm: int, ym: int) -> Optional[int]:
         # cm is connected, so it is maximal within y iff no vertex of y - cm
-        # is adjacent to it.  Take the neighbours of cm in ym - cm once,
-        # walking the smaller side; each y inside ym then costs one AND.
+        # is adjacent to it, and adding one such vertex keeps it connected:
+        # the witness is the neighbours of cm in ym - cm, found walking the
+        # smaller side.
         out = ym & ~cm
         adj = self._adj
         nbr = 0
@@ -270,7 +272,7 @@ class GraphConnectivityOracle(_MaskBackend):
                 nbr |= adj[lsb.bit_length() - 1]
                 walk ^= lsb
             nbr &= out
-        return lambda y: not nbr & y
+        return nbr
 
     def _l2_masks(self, n: int, ym: int) -> List[int]:
         comps: List[int] = []

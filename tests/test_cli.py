@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import polyenum
 from polyenum import ExplicitFamilyOracle, GraphConnectivityOracle, IdSet
 from polyenum.cli import InstanceFormatError, _verify, parse_instance, run
 from polyenum import cli, testkit
+from polyenum.enumerator import Solution
 
 from conftest import P3_DOC, P3_GOLDEN, invoke, write_doc
 
@@ -362,6 +364,41 @@ class TestRun:
         out = CountingIO()
         assert run(["--input", path], stdout=out, stderr=io.StringIO()) == 0
         assert out.flushes >= len(out.getvalue().splitlines())
+
+
+def seeded_records(seed):
+    """Records over n = 1, 45, 300 and 10,050 ids: empty, sparse, dense and full masks."""
+    rng = random.Random(seed)
+    for n in (1, 45, 300, 10_050):
+        full = (1 << (n + 1)) - 2
+        picks = [0, full, 1 << n, 2, full & rng.getrandbits(n + 1),
+                 full & rng.getrandbits(n + 1) & rng.getrandbits(n + 1) & rng.getrandbits(n + 1)]
+        for em in picks[1:]:
+            for im in picks:
+                items = IdSet._from_mask(n, im)
+                yield Solution(IdSet._from_mask(n, em), items, items.min_id())
+
+
+class TestRecords:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_json_record_is_json_dumps(self, seed):
+        for s in seeded_records(seed):
+            want = json.dumps({"elements": list(s.elements), "items": list(s.items), "k": s.k})
+            assert cli._json_record(s) == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_text_record_lists_the_ids(self, seed):
+        for s in seeded_records(seed):
+            items = " ".join(str(i) for i in s.items) or "-"
+            assert cli._text_record(s) == " ".join(str(v) for v in s.elements) + "\t" + items
+
+    def test_ids_past_the_small_table_are_walked(self):
+        # Ids from len(_SMALL_IDS) on are found in the bin() string.
+        top = len(cli._SMALL_IDS)
+        em = 1 << 1 | 1 << (top - 1) | 1 << top | 1 << 9_999 | 1 << 10_001
+        s = Solution(IdSet._from_mask(10_001, em), IdSet._from_mask(10_001, 0), 0)
+        assert cli._json_record(s) == json.dumps(
+            {"elements": [1, top - 1, top, 9_999, 10_001], "items": [], "k": 0})
 
 
 class RaisingIO(io.StringIO):

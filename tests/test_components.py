@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import connected_set_count, union_find_components
+from conftest import connected_set_count, outcome, rendered, union_find_components
 
 from polyenum import (
     ContractError,
@@ -11,10 +11,14 @@ from polyenum import (
     OracleStats,
     ReducedInstance,
     SizeAbove,
+    enumerate_all,
     enumerate_components,
+    enumerate_k,
     is_solution,
+    make_solution,
+    parent,
 )
-from polyenum.testkit import RandomSpec, materialize_components, random_instance
+from polyenum.testkit import PublicOnly, RandomSpec, materialize_components, random_instance
 
 
 def path_oracle(m):
@@ -48,6 +52,43 @@ def large_graph(kind, seed):
             n, edges = n + m, edges + more
     label = rng.sample(range(1, n + 1), n)
     return n, [(label[u - 1], label[v - 1]) for u, v in edges]
+
+
+def sparse_graph(kind, seed):
+    """A tree, caterpillar, cycle or sparse graph on 13-30 vertices, randomly relabelled.
+
+    The tree hangs each vertex off one of the two before it; the sparse
+    graph is a path with about a fifth of its edges missing and a few
+    chords of length 2 or 3, so it has cycles and is seldom connected.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(13, 30)
+    if kind == "tree":
+        edges = [(v, v - rng.randint(1, min(2, v - 1))) for v in range(2, n + 1)]
+    elif kind == "caterpillar":
+        spine = n - rng.randint(1, 3)
+        edges = [(v, v + 1) for v in range(1, spine)]
+        edges += [(rng.randint(1, spine), v) for v in range(spine + 1, n + 1)]
+    elif kind == "cycle":
+        edges = [(v, v % n + 1) for v in range(1, n + 1)]
+    else:
+        edges = [(v, v + 1) for v in range(1, n) if rng.random() < 0.8]
+        edges += [(v, v + d) for v in range(1, n - 2) for d in (2, 3) if rng.random() < 0.06]
+    label = rng.sample(range(1, n + 1), n)
+    return n, [(label[u - 1], label[v - 1]) for u, v in edges]
+
+
+@pytest.fixture
+def closed_form(monkeypatch):
+    """The answers of every components-mode parent test, ``None`` where it ran its passes."""
+    answers = []
+
+    def counted(*args, _f=ReducedInstance._parent_from_witness):
+        answers.append(_f(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(ReducedInstance, "_parent_from_witness", counted)
+    return answers
 
 
 class TestReduction:
@@ -124,12 +165,14 @@ class TestEnumerateComponents:
         "kind, seed",
         [("cycle", 40), ("cycle", 50)] + [("caterpillar", s) for s in range(6)] + [("forest", 6)],
     )
-    def test_counts_match_the_formula_beyond_materializing(self, kind, seed):
+    def test_counts_match_the_formula_beyond_materializing(self, kind, seed, closed_form):
         """Above ``MATERIALIZE_BOUND`` vertices the count certifies the run."""
         n, edges = large_graph(kind, seed)
         oracle = GraphConnectivityOracle(n, edges)
         stats = OracleStats()
         got = collect_components(oracle, n, stats=stats)
+        # Every parent test of the run was answered from the witness.
+        assert closed_form and None not in closed_form
         want = connected_set_count(n, edges)
         assert len(got) == stats.outputs == want
         assert len({s.elements for s in got}) == want
@@ -144,3 +187,81 @@ class TestEnumerateComponents:
         got = [s.elements for s in collect_components(base.oracle, base.n)]
         assert len(got) == len(set(got))
         assert set(got) == set(base.oracle.family)
+
+
+class TestWitnessParity:
+    """The graph backend's witness and the public-only default, past 12 vertices.
+
+    Through the graph backend every non-root parent test of a components
+    run is answered in closed form from the ``_neighbours`` witness;
+    through ``PublicOnly`` over the same graph each of its queries is
+    asked.  Both must give the same records and the same counts.
+    """
+
+    KINDS = [(kind, seed) for kind in ("tree", "caterpillar", "cycle", "sparse")
+             for seed in range(5)]
+
+    @pytest.mark.parametrize("kind, seed", KINDS)
+    def test_same_stream_and_counts_as_the_public_only_backend(self, kind, seed, closed_form):
+        n, edges = sparse_graph(kind, seed)
+        g = GraphConnectivityOracle(n, edges)
+        fast = rendered(lambda sink, stats: enumerate_components(g, n, sink=sink, stats=stats))
+        assert closed_form and None not in closed_form
+        del closed_form[:]
+        slow = rendered(lambda sink, stats: enumerate_components(
+            PublicOnly(g), n, sink=sink, stats=stats))
+        assert set(closed_form) == {None}
+        assert fast == slow
+        lines = fast[0].splitlines()
+        assert len(set(lines)) == len(lines) == fast[1][0]["outputs"]
+        if kind != "sparse":  # a forest or a cycle: the count certifies the run
+            assert len(lines) == connected_set_count(n, edges)
+
+    @pytest.mark.parametrize("kind, seed", KINDS)
+    def test_parent_answers_and_errors_as_the_public_only_backend(self, kind, seed):
+        n, edges = sparse_graph(kind, seed)
+        g = GraphConnectivityOracle(n, edges)
+        inst, plain = ReducedInstance(n, g), ReducedInstance(n, PublicOnly(g))
+        # The roots of groups 1-3 have a zero witness: parent() raises the
+        # same error after the same counted queries either way.
+        roots = 0
+        for k in (1, 2, 3):
+            for cm in g._l2_masks(n, inst._slice_mask(k)):
+                s = make_solution(inst, IdSet._from_mask(n, cm))
+                if s.k == k:
+                    roots += 1
+                    got = outcome(parent, inst, s)
+                    assert "no strict superset solution" in got[0]
+                    assert got == outcome(parent, plain, s)
+        assert roots
+        # Every fifth record of the run, roots included.
+        records = []
+        enumerate_components(g, n, sink=records.append)
+        for s in records[::5]:
+            assert outcome(parent, inst, s) == outcome(parent, plain, s)
+
+
+class TestGroupBound:
+    def test_isolated_vertices_ask_three_l2(self):
+        # Group 0's l2(V) lists the 300 singletons; {1} lacks 2 and the
+        # others lack 1, so no group above 2 can emit and none is asked.
+        n = 300
+        stats = OracleStats()
+        got = collect_components(GraphConnectivityOracle(n), n, stats=stats)
+        assert {s.elements for s in got} == {IdSet(n, [v]) for v in range(1, n + 1)}
+        assert len(got) == stats.outputs == 300
+        assert stats.l2_calls == 3
+
+    @pytest.mark.parametrize("kind, seed", [("graph", s) for s in range(200, 215)]
+                             + [("explicit", s) for s in range(300, 315)])
+    def test_skipped_groups_emit_nothing(self, kind, seed):
+        base = random_instance(RandomSpec(kind=kind, n_range=(1, 8), seed=seed,
+                                          edge_prob=(0.15, 0.3, 0.5)[seed % 3]))
+        inst = ReducedInstance(base.n, base.oracle)
+        out, by_group = [], []
+        enumerate_all(inst, sink=out.append)
+        for k in range(inst.n + 1):
+            enumerate_k(inst, k, sink=by_group.append)
+        # The bound drops only groups that emit nothing: the stream is the
+        # groups' streams in turn.
+        assert out == by_group

@@ -73,7 +73,7 @@ class TestIsSolution:
         inst = Instance(3, 2, [[1], [2], [1]], oracle)
         x = IdSet(3, [1, 3])
         h = inst._hull_mask(2)
-        assert oracle._maximal_from(3, x._mask, h)(h)
+        assert not oracle._neighbours(3, x._mask, h) & h
         stats = OracleStats()
         assert not is_solution(inst, x, stats)
         assert stats.l1_calls == 1

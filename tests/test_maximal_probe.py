@@ -1,17 +1,18 @@
-"""The maximality factory and the explicit backend's indexed ``l1``.
+"""The maximality witness and the explicit backend's indexed ``l1``.
 
-The enumerator builds ``_maximal_from(n, c, y0)`` once per parent test,
-in ``_Run._parent``, always with ``y0`` the slice of the group's item.
-The one factory answers a child-scan candidate's solution test and every
-trial hull of the item pass.  The function it returns is called only
-with hulls ``y`` inside ``y0`` holding ``c``, and each call counts as
-one ``l1``.  Its contract is ``_l1_mask(n, c, y) == c`` for every such
-``y``; these tests hold both shipped backends to it over every component
-and every hull holding it on seeded graphs and families, and the graph
-backend on drawn graphs too, along whole item passes.  Count tests check
-that a run builds one factory per parent test, not one per item, and
-that no candidate gets a second.  The explicit backend's ``l1`` answers
-from its per-element bitmaps; it must answer as ``reference_l1`` does.
+The parent test ``_Run._parent`` asks ``_neighbours(n, c, y0)`` once per
+call, always with ``y0`` the slice of the group's item.  From the
+witness ``w`` it answers a child-scan candidate's solution test and every
+trial hull of the item pass with ``not w & y``, and asks
+``_l1_mask(n, c, y) == c`` instead when the backend gives no witness;
+each answer counts as one ``l1``.  The components-mode instance answers
+the whole parent test from ``w``.  These tests hold both shipped
+backends, through ``conftest.maximal_in``, to the ``l1`` answer over
+every component and every hull holding it on seeded graphs and families,
+and the graph backend on drawn graphs too, along whole item passes.
+Count tests check that a run asks one witness per parent test and that
+no candidate gets a second.  The explicit backend's ``l1`` answers from
+its per-element bitmaps; it must answer as ``reference_l1`` does.
 """
 
 import pytest
@@ -42,6 +43,7 @@ from conftest import (
     STAR,
     graphs_hulls_and_parts,
     mask,
+    maximal_in,
     reference_l1,
 )
 
@@ -63,7 +65,7 @@ def assert_probe_matches_l1(oracle, n):
     for c in comps:
         for ym in supersets_within(n, c._mask):
             want = oracle._l1_mask(n, c._mask, ym) == c._mask
-            assert oracle._maximal_from(n, c._mask, ym)(ym) == want, (sorted(c), ym)
+            assert maximal_in(oracle, n, c._mask, ym)(ym) == want, (sorted(c), ym)
             answers.add(want)
     # The probe says no somewhere exactly when some component lies inside another.
     nested = len(comps) > len(oracle._l2_masks(n, (1 << (n + 1)) - 2))
@@ -106,7 +108,7 @@ def test_graph_probe_answers_as_the_default(case):
         if hull & part:
             seeds += g._l2_masks(n, hull & part)
         for sm in seeds:
-            assert g._maximal_from(n, sm, hull)(hull) == plain._maximal_from(n, sm, hull)(hull)
+            assert maximal_in(g, n, sm, hull)(hull) == maximal_in(plain, n, sm, hull)(hull)
 
 
 @st.composite
@@ -135,10 +137,10 @@ def test_graph_factory_answers_an_item_pass_as_the_default(case):
         if not hull & part:
             continue
         for sm in g._l2_masks(n, hull & part):
-            # One factory each, built on the hull, asked along the chain of
+            # One witness each, taken on the hull, asked along the chain of
             # trial hulls the parent test's item pass walks: each trial
             # keeps sm, and the hull narrows to it when sm is not maximal.
-            fast, slow = g._maximal_from(n, sm, hull), plain._maximal_from(n, sm, hull)
+            fast, slow = maximal_in(g, n, sm, hull), maximal_in(plain, n, sm, hull)
             assert fast(hull) == slow(hull)
             y = hull
             for s in slices:
@@ -150,24 +152,22 @@ def test_graph_factory_answers_an_item_pass_as_the_default(case):
 
 
 class CountingGraph(GraphConnectivityOracle):
-    """The graph backend, listing the component of each factory it builds.
+    """The graph backend, listing the component of each witness it gives.
 
-    ``answered`` counts the hulls those factories answer.
+    ``l1_answers`` counts the ``_l1_mask`` queries it answers.
     """
 
     def __init__(self, n, edges):
         super().__init__(n, edges)
-        self.built, self.answered = [], 0
+        self.built, self.l1_answers = [], 0
 
-    def _maximal_from(self, n, cm, ym):
+    def _neighbours(self, n, cm, ym):
         self.built.append(cm)
-        maximal_in = super()._maximal_from(n, cm, ym)
+        return super()._neighbours(n, cm, ym)
 
-        def answer(y):
-            self.answered += 1
-            return maximal_in(y)
-
-        return answer
+    def _l1_mask(self, n, xm, ym):
+        self.l1_answers += 1
+        return super()._l1_mask(n, xm, ym)
 
 
 def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
@@ -185,19 +185,19 @@ def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
     assert {k: stats.as_dict()[k] for k in ("l1_calls", "l2_calls", "rho_calls",
                                             "traversal_calls")} == {
         "l1_calls": 10923, "l2_calls": 2472, "rho_calls": 381, "traversal_calls": 379}
-    # One factory per parent test, asked once per item, more than once each
-    # on average.  In components mode a candidate's hull is the candidate
-    # itself, so no solution test asks it.
-    assert len(g.built) == calls["_parent"]
-    assert g.answered > calls["_parent"] > 0
+    # One witness per parent test.  In components mode the instance
+    # answers every parent test from it, so each counted l1 stands for an
+    # answer no query was asked for.
+    assert len(g.built) == calls["_parent"] > 0
+    assert g.l1_answers == 0
 
 
 @pytest.mark.parametrize(
     "spec", [s for s in ACCEPTANCE_SPECS if s.kind == "graph"], ids=lambda s: f"graph{s.seed}"
 )
 def test_children_build_one_factory_per_candidate(spec):
-    # Each candidate's child test is one _parent call, which builds one
-    # factory for it: no candidate gets two.
+    # Each candidate's child test is one _parent call, which asks one
+    # witness for it: no candidate gets two.
     inst = random_instance(spec)
     n = inst.n
     edges = [(u, v) for u, nbrs in inst.oracle.adjacency.items() for v in nbrs if u < v]

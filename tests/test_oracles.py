@@ -22,6 +22,7 @@ from polyenum.testkit import RandomSpec, materialize_components, random_instance
 from conftest import (
     families_and_queries,
     graphs_and_hulls,
+    maximal_in,
     reference_l1,
     reference_l2,
     union_find_components,
@@ -347,7 +348,7 @@ def test_explicit_bitmap_index_matches_reference(case):
         assert oracle._l2_masks(n, ym) == [c._mask for c in maximal]
         for c in family:
             if c.issubset(y):
-                assert oracle._maximal_from(n, c._mask, ym)(ym) == (c in maximal)
+                assert maximal_in(oracle, n, c._mask, ym)(ym) == (c in maximal)
         xm &= ym
         if xm:
             z = reference_l1(family, IdSet._from_mask(n, xm), y)
@@ -389,4 +390,4 @@ def test_graph_answers_match_union_find(case):
     # The probe is asked about components only: those of a part of the hull.
     for h, part in zip(hulls, parts):
         for cm in union_find_components(edges, h & part):
-            assert g._maximal_from(n, cm, h)(h) == (cm in want[h])
+            assert maximal_in(g, n, cm, h)(h) == (cm in want[h])
