@@ -81,13 +81,6 @@ class ReducedInstance(Instance):
         stats.l1_calls += rest.bit_count() + 2
         return sm | u
 
-    def _last_group(self, mm: int) -> int:
-        # A component in group k > 1 holds 1..k-1, and so does the mm it
-        # lies in: k is at most the least element mm lacks, and is any k
-        # when mm lacks none.
-        items = self._full & ~mm
-        return (items & -items).bit_length() - 1 if items else self.n
-
 
 def enumerate_components(
     oracle: SetSystemOracle,

@@ -427,15 +427,6 @@ class Instance:
         """
         return None
 
-    def _last_group(self, mm: int) -> int:
-        """A bound on the group of any solution inside ``mm``.
-
-        ``enumerate_all`` asks it of each maximal component of the
-        universe and asks about no group above the largest answer.  Here
-        ``q``, no bound.
-        """
-        return self.q
-
     def sigma(self, v: int) -> IdSet:
         """Attribute set of element ``v``."""
         if not 1 <= v <= self.n:

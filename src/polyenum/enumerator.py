@@ -272,28 +272,32 @@ class _Run:
             self.stats.traversal_calls += 1
             stack.append((self.child_candidates(child), None if before else child))
 
-    def roots(self, k: int) -> Iterator[int]:
-        """Emit group ``k``'s kept solutions, and yield each root's mask.
+    def roots(self, k: int) -> int:
+        """Emit group ``k``'s kept solutions and return a bound on the groups.
 
         The roots are the answer of one ``l2`` query on ``slice(k)``, all
         of it whatever their group.  Each root that belongs to the group is
         emitted and, when ``k > 0`` and some element carries an item above
-        ``k``, its tree is traversed before the root is yielded.  When no
-        element carries item ``k`` there is nothing to do and the oracle is
-        not queried at all.
+        ``k``, its tree is traversed.  A solution inside a root carries the
+        root's common items, so its group is at most their least, or ``q``
+        when there are none; the result is the largest of these over the
+        roots.  When no element carries item ``k`` there is nothing to do:
+        the oracle is not queried at all and the result is 0.
         """
         inst = self.inst
         vk = inst._slice_mask(k)
         if not vk:
-            return
+            return 0
         self.stats.l2_calls += 1
+        last = 0
         for cm in self.oracle._l2_masks(self.n, vk):
             t = self.solution(cm, inst._common_mask(cm))
             if t.k == k and self.rho_positive(t.elements):
                 self.emit(t)
                 if k and inst._carried >> (k + 1):
                     self.descend(t)
-            yield cm
+            last = max(last, t.k or inst.q)
+        return last
 
 
 def is_solution(
@@ -380,11 +384,12 @@ def enumerate_k(
     group is emitted and, when ``k > 0`` and some element carries an item
     above ``k``, its tree is traversed.  When no element carries item
     ``k`` there is nothing to do and the oracle is not queried at all.
+    The group is asked in full: the bound :func:`enumerate_all` takes from
+    group 0's roots is not applied here.
     """
     if not 0 <= k <= inst.q:
         raise ValueError(f"group id {k} outside [0, {inst.q}]")
-    for _ in _Run(inst, stats, rho, sink).roots(k):
-        pass
+    _Run(inst, stats, rho, sink).roots(k)
 
 
 def enumerate_all(
@@ -398,15 +403,13 @@ def enumerate_all(
     Runs the per-group enumeration for group 0 and for each item some
     element carries, in ascending order; no other group has a solution.
     The groups partition the solution family, so nothing repeats.  Group
-    0's roots are the maximal components of the universe, and every
-    component lies inside one of them, so the instance's ``_last_group``
-    of each bounds the groups worth asking about; the run stops past the
-    largest.
+    0's roots are the maximal components ``M`` of the universe.  Every
+    component lies inside one of them and carries its common items, so no
+    solution is in a group above the least common item of its ``M`` (or
+    ``q`` when ``M`` has none); the run stops past the largest such bound.
     """
     run = _Run(inst, stats, rho, sink)
-    last = 0
-    for mm in run.roots(0):
-        last = max(last, inst._last_group(mm))
+    last = run.roots(0)
     groups = inst._carried
     while groups:
         kbit = groups & -groups
@@ -414,5 +417,4 @@ def enumerate_all(
         k = kbit.bit_length() - 1
         if k > last:
             return
-        for _ in run.roots(k):
-            pass
+        run.roots(k)

@@ -8,9 +8,11 @@ from polyenum import (
     ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
+    Instance,
     OracleStats,
     ReducedInstance,
     SizeAbove,
+    Solution,
     enumerate_all,
     enumerate_components,
     enumerate_k,
@@ -252,16 +254,39 @@ class TestGroupBound:
         assert len(got) == stats.outputs == 300
         assert stats.l2_calls == 3
 
+    def test_path_with_every_item_carried_asks_two_l2(self):
+        # Solution mode: l2(V) gives V itself, whose common items are 1..n,
+        # so no group above 1 can emit and only group 1 is asked.
+        n = 50
+        inst = Instance(n, n, [range(1, n + 1)] * n, path_oracle(n))
+        stats = OracleStats()
+        out = []
+        enumerate_all(inst, sink=out.append, stats=stats)
+        every = IdSet(n, range(1, n + 1))
+        assert out == [Solution(every, every, 1)]
+        assert stats.l2_calls == 2
+
     @pytest.mark.parametrize("kind, seed", [("graph", s) for s in range(200, 215)]
                              + [("explicit", s) for s in range(300, 315)])
     def test_skipped_groups_emit_nothing(self, kind, seed):
         base = random_instance(RandomSpec(kind=kind, n_range=(1, 8), seed=seed,
                                           edge_prob=(0.15, 0.3, 0.5)[seed % 3]))
-        inst = ReducedInstance(base.n, base.oracle)
-        out, by_group = [], []
-        enumerate_all(inst, sink=out.append)
-        for k in range(inst.n + 1):
-            enumerate_k(inst, k, sink=by_group.append)
-        # The bound drops only groups that emit nothing: the stream is the
-        # groups' streams in turn.
-        assert out == by_group
+        sigma = [list(base.sigma(v)) for v in range(1, base.n + 1)]
+        for mode in ("components", "solutions"):
+            oracle = PublicOnly(base.oracle)
+            if mode == "components":
+                inst = ReducedInstance(base.n, oracle)
+            else:
+                inst = Instance(base.n, base.q, sigma, oracle)
+            out, by_group = [], []
+            enumerate_all(inst, sink=out.append)
+            bounded = list(oracle.log)
+            for k in range(inst.q + 1):
+                enumerate_k(inst, k, sink=by_group.append)
+            every_group = oracle.log[len(bounded):]
+            # The bound drops only groups that emit nothing: the stream is
+            # the groups' streams in turn, and the queries a prefix of theirs.
+            assert out == by_group
+            assert every_group[:len(bounded)] == bounded
+            if mode == "solutions" and (kind, seed) in {("graph", 207), ("explicit", 314)}:
+                assert len(bounded) < len(every_group)
