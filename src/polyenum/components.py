@@ -5,13 +5,17 @@ carries every item except ``v`` itself.  The common item set of a set
 ``x`` is then the complement of ``x``, so any strict superset strictly
 shrinks it, which makes every component a solution.  Running the solution
 enumerator on that instance therefore yields exactly the component family.
+The parent of a component ``c`` in group ``k`` is ``c`` plus its greatest
+neighbour but ``k``, so with a backend that answers ``_cut_parts`` the
+instance lists each node's children in closed form from its cut vertices.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from .core import Instance, OracleStats, SetSystemOracle, VolumeFunction, check_universe
+from .core import ContractError, Instance, OracleStats, SetSystemOracle
+from .core import VolumeFunction, check_universe
 from .enumerator import EmitSink, enumerate_all
 
 
@@ -51,35 +55,51 @@ class ReducedInstance(Instance):
     def _hull_mask(self, items: int) -> int:
         return self._full & ~items
 
-    def _l2_by_slice(self, tm: int) -> Callable[[int], List[int]]:
-        # The slice of j is the universe minus j, and the scan asks only
-        # for the j in tm, so each query is l2(tm - j): the oracle's hook.
-        return self.oracle._l2_without(self.n, tm)
+    def _children(self, stats: OracleStats, tm: int, k: int) -> Optional[Iterator[int]]:
+        cuts = self.oracle._cut_parts(self.n, tm)
+        return None if cuts is None else self._child_scan(stats, tm, k, cuts)
 
-    def _parent_from_witness(
-        self, stats: OracleStats, sm: int, k: int, w: Optional[int], target: Optional[int]
-    ) -> Optional[int]:
-        # The items of sm are V - sm and slice(i) is V - i.  The item pass
-        # drops item i from the hull while sm stays short of maximal, that
-        # is while some bit of w is left; so it drops every item but
-        # u = max(w), and the hull ends as sm | u.  By the witness contract
-        # that is a component, so the element pass keeps u and its
-        # solution test says yes.  With a target, the first dropped item of
-        # the target ends the test.  A zero w means sm is a root: the
-        # passes raise.  Every hull of sm is sm, so no solution test comes
-        # first.
-        if not w:
-            return None
-        u = 1 << (w.bit_length() - 1)
-        rest = self._full & ~sm & ~(1 << k)
-        if target is not None:
-            miss = target & ~sm & ~u
-            if miss:
-                first = miss & -miss
-                stats.l1_calls += (rest & ((first << 1) - 1)).bit_count()
-                return 0
-        stats.l1_calls += rest.bit_count() + 2
-        return sm | u
+    def _child_scan(self, stats: OracleStats, tm: int, k: int,
+                    cuts: Dict[int, List[int]]) -> Iterator[int]:
+        # The generic scan asks l2(tm - j) for each j of tm above k; an
+        # answer cm passes its group filters iff it holds tm & [1, j): for
+        # a non-cut j that is tm - j, for j = min(tm) every part, and for
+        # another cut j at most the part holding min(tm).  The parent of
+        # cm is cm | u, u = max(w) for its witness w, so cm is a child iff
+        # tm - cm = {u}: of several parts none is, so their order is free.
+        # Otherwise the item pass, which drops every item but k and u,
+        # ends at the first element of tm - cm - u.
+        oracle, n = self.oracle, self.n
+        low, ym = tm & -tm, self._slice_mask(k)
+        rest = tm & -(2 << k)
+        while rest:
+            jbit = rest & -rest
+            rest ^= jbit
+            cm = tm ^ jbit
+            if not cm:
+                continue
+            stats.l2_calls += 1  # l2(tm - j), answered from the cuts
+            parts = cuts.get(jbit.bit_length() - 1)
+            if parts is None:
+                cands: Sequence[int] = (cm,)
+            elif jbit == low:
+                cands = parts
+            else:
+                cm &= ~sum(parts)  # the parts are disjoint
+                cands = () if tm & (jbit - 1) & ~cm else (cm,)
+            for cm in cands:
+                w = oracle._neighbours(n, cm, ym)
+                if not w:
+                    raise ContractError(f"_neighbours answered {w!r} inside a component; "
+                                        "a backend that answers _cut_parts must answer it")
+                u = 1 << (w.bit_length() - 1)
+                items = ym & ~cm
+                miss = tm & ~cm & ~u
+                if miss:
+                    stats.l1_calls += (items & ((miss & -miss) * 2 - 1)).bit_count()
+                else:
+                    stats.l1_calls += items.bit_count() + 2
+                    yield cm
 
 
 def enumerate_components(

@@ -13,7 +13,7 @@ safe to share read-only across threads.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 
 class ContractError(ValueError):
@@ -179,7 +179,7 @@ class SetSystemOracle:
     shipped backends answer on masks directly.
 
     Three optional hooks, ``_neighbours``, ``_l1_growth`` and
-    ``_l2_without``, each state their contract in their own docstring.
+    ``_cut_parts``, each state their contract in their own docstring.
     The graph backend overrides all three; the explicit backend none.
     """
 
@@ -202,18 +202,19 @@ class SetSystemOracle:
         """``l2`` on masks over ``[1, n]``, in the same order."""
         return [_answer_mask(n, c, "l2") for c in self.l2(IdSet._from_mask(n, ym))]
 
-    def _l2_without(self, n: int, tm: int) -> Callable[[int], List[int]]:
-        """The function ``j`` to ``_l2_masks(n, tm - j)``, for ``j`` in ``tm``.
+    def _cut_parts(self, n: int, tm: int) -> Optional[Dict[int, List[int]]]:
+        """The parts each cut vertex of the component ``tm`` cuts off, or ``None``.
 
-        The child scan of components mode builds one per node ``tm``, a
-        component holding an element above its group, and calls it for the
-        ``j`` above the group whose removal leaves ``tm - j`` non-empty.
-        An override may answer every ``j`` from one sweep of ``tm``.  The
-        default asks ``_l2_masks(n, tm - j)`` once per call, when it is
-        made, and nothing when built.  ``OracleStats`` counts one ``l2`` per
-        call.
+        The components-mode child scan asks it once per node ``tm`` and
+        then asks no ``l2``.  An answer maps each ``j`` that splits ``tm``
+        to the components of ``tm - j`` not holding ``min(tm)``, and
+        ``min(tm)`` to every component of ``tm - min(tm)``, even one.  Only
+        a backend that answers ``_neighbours`` may answer it: the scan asks
+        that witness of each candidate.  The default ``None`` leaves one
+        ``_l2_masks(n, tm - j)`` query per ``j``.  ``OracleStats`` counts one
+        ``l2`` per ``j`` either way.
         """
-        return lambda j: self._l2_masks(n, tm & ~(1 << j))
+        return None
 
     def _l1_growth(self, n: int, sm: int, ym: int) -> Iterator[int]:
         """The elements the parent test's element pass keeps, ascending.
@@ -242,18 +243,18 @@ class SetSystemOracle:
     def _neighbours(self, n: int, cm: int, ym: int) -> Optional[int]:
         """A witness for the maximality of the component ``cm``, or ``None``.
 
-        The parent test ``_Run._parent`` asks it once per call, with ``cm``
-        the component it asks about and ``ym`` the slice of its group's
-        item, which holds ``cm``.  An answer ``w`` is a mask inside
-        ``ym - cm`` such that ``cm | b`` is a component for every bit ``b``
-        of ``w``, and ``cm`` is maximal within any ``y`` inside ``ym`` that
-        holds ``cm`` exactly when ``not w & y``.  The parent test then
-        answers each maximality question with one AND, and the
-        components-mode instance answers the whole test from ``w``.  The
-        default answers ``None``, and the parent test asks
-        ``_l1_mask(n, cm, y) == cm`` for each ``y`` instead.
-        ``OracleStats`` counts the logical ``l1`` calls the test stands for
-        either way, and nothing for this call.
+        The parent test ``_Run._parent`` asks it once per call, and the
+        components-mode child scan once per candidate, with ``cm`` the
+        component asked about and ``ym`` the slice of its group's item,
+        which holds ``cm``.  An answer ``w`` is a mask inside ``ym - cm``
+        such that ``cm | b`` is a component for every bit ``b`` of ``w``,
+        and ``cm`` is maximal within any ``y`` inside ``ym`` that holds
+        ``cm`` exactly when ``not w & y``.  The parent test then answers
+        each maximality question with one AND, and the child scan takes
+        ``cm | max(w)`` as the parent of ``cm``.  The default answers
+        ``None``, and the parent test asks ``_l1_mask(n, cm, y) == cm``
+        for each ``y`` instead.  ``OracleStats`` counts the logical ``l1``
+        calls the test stands for either way, and nothing for this call.
         """
         return None
 
@@ -384,11 +385,6 @@ class Instance:
         """Elements carrying item ``i``; item 0 means all."""
         return self._item_masks.get(i, 0)
 
-    def _l2_by_slice(self, tm: int) -> Callable[[int], List[int]]:
-        """The child scan's ``l2`` queries: ``j`` to ``l2(tm & slice(j))``."""
-        oracle, n = self.oracle, self.n
-        return lambda j: oracle._l2_masks(n, tm & self._slice_mask(j))
-
     def _common_mask(self, xm: int) -> int:
         """Items carried by every element of the non-empty ``xm``."""
         # AND the rows of x's elements, stopping once no item is left.
@@ -415,15 +411,11 @@ class Instance:
             items ^= lsb
         return m
 
-    def _parent_from_witness(
-        self, stats: OracleStats, sm: int, k: int, w: Optional[int], target: Optional[int]
-    ) -> Optional[int]:
-        """The parent test ``_Run._parent(sm, ..., k, target)`` answered from
-        the witness ``w`` alone, or ``None`` to run its passes.
+    def _children(self, stats: OracleStats, tm: int, k: int) -> Optional[Iterator[int]]:
+        """The children of the node ``tm`` in group ``k``, or ``None``.
 
-        ``w`` is the backend's ``_neighbours`` answer for ``sm`` on
-        ``slice(k)``.  An answer adds to ``stats`` the ``l1`` calls the
-        passes count.  Here the passes always run.
+        An answer yields their element masks in traversal order and counts
+        in ``stats`` what the generic child scan counts.  Here that scan runs.
         """
         return None
 

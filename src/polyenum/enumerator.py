@@ -131,15 +131,11 @@ class _Run:
         most candidates fail within a few oracle calls.  Both questions
         ask whether ``sm`` is maximal within hulls inside ``slice(k)``: one
         AND each against the backend's witness, or one ``l1`` each without
-        one.  An instance that can answer the whole test from the witness
-        does so first.
+        one.
         """
         inst, oracle, n = self.inst, self.oracle, self.n
         hull = inst._slice_mask(k)
         w = oracle._neighbours(n, sm, hull)
-        pm = inst._parent_from_witness(self.stats, sm, k, w, target)
-        if pm is not None:
-            return pm
         if w is None:
             def maximal_in(y: int) -> bool:
                 return oracle._l1_mask(n, sm, y) == sm
@@ -216,9 +212,9 @@ class _Run:
         (each child is generated for exactly one ``j``), and when the child
         test ``_parent(c, items, k, t)`` returns ``t``'s elements.  Checks
         run cheapest first; the child test dominates.  A node in group 0,
-        or with no such ``j``, has no children and asks nothing.  The
-        instance hands out the ``l2`` answers per ``j``, so a backend may
-        work out those of one ``t`` together; each still counts as one call.
+        or with no such ``j``, has no children and asks nothing.  An
+        instance that can list the children in closed form does so instead,
+        with the same counts.
         """
         inst = self.inst
         tm, tim, k = t.elements._mask, t.items._mask, t.k
@@ -228,15 +224,19 @@ class _Run:
         rest = inst._carried & ~tim & -(kbit << 1)
         if not (k and rest):
             return
-        l2_in_slice = inst._l2_by_slice(tm)
+        cms = inst._children(self.stats, tm, k)
+        if cms is not None:
+            for cm in cms:
+                yield self.solution(cm, inst._common_mask(cm))
+            return
         while rest:
             jbit = rest & -rest
             rest ^= jbit
-            j = jbit.bit_length() - 1
-            if not tm & inst._slice_mask(j):
+            ym = tm & inst._slice_mask(jbit.bit_length() - 1)
+            if not ym:
                 continue  # oracles only take non-empty queries
-            self.stats.l2_calls += 1  # one l2(tm & slice(j)), however answered
-            for cm in l2_in_slice(j):
+            self.stats.l2_calls += 1
+            for cm in self.oracle._l2_masks(self.n, ym):
                 im = inst._common_mask(cm)
                 if im & -im != kbit:
                     continue  # another group

@@ -21,12 +21,13 @@ the graph backend overrides all three and the explicit backend none:
 * ``_neighbours``: the component's neighbours in the hull, one walk, which
   answers each maximality question with one AND;
 * ``_l1_growth``: the one component of the hull holding the start set;
-* ``_l2_without``: one depth-first sweep, by cut vertices.
+* ``_cut_parts``: one depth-first sweep, which lists the parts each cut
+  vertex cuts off, so the ``--components`` child scan asks no ``l2``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import ContractError, IdSet, SetSystemOracle, lex_sort_key
 
@@ -177,8 +178,8 @@ class GraphConnectivityOracle(_MaskBackend):
     hull costs one AND.  ``_l1_growth`` yields a parent test's
     element pass from the component of the hull holding the solution,
     taken once.
-    ``_l2_without`` runs one depth-first sweep of a component and answers
-    ``l2(t - j)`` for every ``j`` from its cut vertices.
+    ``_cut_parts`` runs one depth-first sweep of a component and lists
+    the parts each of its cut vertices cuts off.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
@@ -286,14 +287,13 @@ class GraphConnectivityOracle(_MaskBackend):
         # disjoint, so this is already sorted by subset_lex_less.
         return comps
 
-    def _l2_without(self, n: int, tm: int) -> Callable[[int], List[int]]:
-        # tm is a component, so one depth-first sweep reaches all of it and
-        # finds its cut vertices by low points (Hopcroft and Tarjan, 1973).
-        # A child c of j whose subtree has no edge above j (low[c] >=
-        # disc[j]) is a component of tm - j on its own; the rest of tm - j,
-        # which holds the root unless j is the root, is one more.  Only
-        # those subtrees are kept, per vertex j, so the answers take
-        # O(|tm|) memory together.
+    def _cut_parts(self, n: int, tm: int) -> Dict[int, List[int]]:
+        # tm is a component, so one depth-first sweep from its least vertex
+        # reaches all of it and finds its cut vertices by low points
+        # (Hopcroft and Tarjan, 1973).  A child c of j whose subtree has no
+        # edge above j (low[c] >= disc[j]) is a component of tm - j on its
+        # own, as is every subtree of the root; for any other j the rest
+        # of tm - j holds the root.  The parts take O(|tm|) memory together.
         adj = self._adj
         root = (tm & -tm).bit_length() - 1
         disc = {root: 0}
@@ -332,20 +332,7 @@ class GraphConnectivityOracle(_MaskBackend):
                     cuts.setdefault(p, []).append(seen & ~before)
                 elif low[v] < low[p]:
                     low[p] = low[v]
-
-        def answer(j: int) -> List[int]:
-            rest = tm & ~(1 << j)
-            parts = cuts.get(j)
-            if parts is None:
-                return [rest]
-            for c in parts:
-                rest &= ~c
-            # Disjoint sets follow subset_lex_less by least element, and
-            # the rest, which holds the least element of tm, comes first.
-            comps = sorted(parts, key=lambda c: c & -c)
-            return [rest] + comps if rest else comps
-
-        return answer
+        return cuts
 
     def delta_hint(self) -> int:
         return self.n

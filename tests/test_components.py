@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -57,15 +58,25 @@ def large_graph(kind, seed):
 
 
 def sparse_graph(kind, seed):
-    """A tree, caterpillar, cycle or sparse graph on 13-30 vertices, randomly relabelled.
+    """A tree, caterpillar, cycle or sparse graph on 13-30 vertices, or a star
+    on 5-16, randomly relabelled.
 
     The tree hangs each vertex off one of the two before it; the sparse
     graph is a path with about a fifth of its edges missing and a few
     chords of length 2 or 3, so it has cycles and is seldom connected.
+    The star joins one vertex to all others and adds 0-3 chords between
+    those, so the centre cuts most connected sets that hold it and is
+    often their least vertex.
     """
     rng = random.Random(seed)
     n = rng.randint(13, 30)
-    if kind == "tree":
+    if kind == "star":
+        n = rng.randint(5, 16)
+        centre = rng.randint(1, n)
+        leaves = [v for v in range(1, n + 1) if v != centre]
+        edges = [(centre, v) for v in leaves]
+        edges += rng.sample(list(itertools.combinations(leaves, 2)), rng.randint(0, 3))
+    elif kind == "tree":
         edges = [(v, v - rng.randint(1, min(2, v - 1))) for v in range(2, n + 1)]
     elif kind == "caterpillar":
         spine = n - rng.randint(1, 3)
@@ -82,15 +93,16 @@ def sparse_graph(kind, seed):
 
 @pytest.fixture
 def closed_form(monkeypatch):
-    """The answers of every components-mode parent test, ``None`` where it ran its passes."""
-    answers = []
+    """For every components-mode child scan, whether it took the closed form."""
+    took = []
 
-    def counted(*args, _f=ReducedInstance._parent_from_witness):
-        answers.append(_f(*args))
-        return answers[-1]
+    def recorded(*args, _f=ReducedInstance._children):
+        cms = _f(*args)
+        took.append(cms is not None)
+        return cms
 
-    monkeypatch.setattr(ReducedInstance, "_parent_from_witness", counted)
-    return answers
+    monkeypatch.setattr(ReducedInstance, "_children", recorded)
+    return took
 
 
 class TestReduction:
@@ -173,8 +185,8 @@ class TestEnumerateComponents:
         oracle = GraphConnectivityOracle(n, edges)
         stats = OracleStats()
         got = collect_components(oracle, n, stats=stats)
-        # Every parent test of the run was answered from the witness.
-        assert closed_form and None not in closed_form
+        # Every child scan of the run was answered from the cut vertices.
+        assert closed_form and all(closed_form)
         want = connected_set_count(n, edges)
         assert len(got) == stats.outputs == want
         assert len({s.elements for s in got}) == want
@@ -194,13 +206,14 @@ class TestEnumerateComponents:
 class TestWitnessParity:
     """The graph backend's witness and the public-only default, past 12 vertices.
 
-    Through the graph backend every non-root parent test of a components
-    run is answered in closed form from the ``_neighbours`` witness;
-    through ``PublicOnly`` over the same graph each of its queries is
-    asked.  Both must give the same records and the same counts.
+    Through the graph backend every child scan of a components run is
+    answered in closed form from ``_cut_parts`` and the ``_neighbours``
+    witness, and the public ``parent`` asks that witness; through
+    ``PublicOnly`` over the same graph each of their queries is asked.
+    Both must give the same records and the same counts.
     """
 
-    KINDS = [(kind, seed) for kind in ("tree", "caterpillar", "cycle", "sparse")
+    KINDS = [(kind, seed) for kind in ("tree", "caterpillar", "cycle", "sparse", "star")
              for seed in range(5)]
 
     @pytest.mark.parametrize("kind, seed", KINDS)
@@ -208,15 +221,15 @@ class TestWitnessParity:
         n, edges = sparse_graph(kind, seed)
         g = GraphConnectivityOracle(n, edges)
         fast = rendered(lambda sink, stats: enumerate_components(g, n, sink=sink, stats=stats))
-        assert closed_form and None not in closed_form
+        assert closed_form and all(closed_form)
         del closed_form[:]
         slow = rendered(lambda sink, stats: enumerate_components(
             PublicOnly(g), n, sink=sink, stats=stats))
-        assert set(closed_form) == {None}
+        assert closed_form and not any(closed_form)
         assert fast == slow
         lines = fast[0].splitlines()
         assert len(set(lines)) == len(lines) == fast[1][0]["outputs"]
-        if kind != "sparse":  # a forest or a cycle: the count certifies the run
+        if kind not in ("sparse", "star"):  # a forest or a cycle: the count certifies the run
             assert len(lines) == connected_set_count(n, edges)
 
     @pytest.mark.parametrize("kind, seed", KINDS)

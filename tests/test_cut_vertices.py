@@ -1,11 +1,13 @@
-"""The child scan's ``l2(t - j)`` queries in components mode.
+"""The cut vertices behind the child scan of components mode.
 
-``ReducedInstance`` asks them through ``SetSystemOracle._l2_without(n, t)``,
-the function ``j`` to ``_l2_masks(n, t - j)``.  The default answers each
-``j`` with its own ``_l2_masks`` query; the graph backend works out every
-``j`` from one depth-first sweep of ``t``.  Both must give exactly what
+The scan asks ``l2(t - j)`` for each ``j`` of a node ``t`` above its
+group.  A backend that answers ``SetSystemOracle._cut_parts(n, t)`` lists
+the parts each cut vertex of ``t`` cuts off, and the scan works out every
+``j`` from that one answer; the graph backend does, from one depth-first
+sweep of ``t``.  Rebuilt from it, each ``l2(t - j)`` must be exactly what
 ``_l2_masks(n, t - j)`` gives.  The explicit backend and a custom backend
-take the default, so the queries a custom backend sees are pinned.
+answer ``None`` and take the generic scan, so the queries a custom
+backend sees are pinned.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from polyenum import (
+    ContractError,
     ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
@@ -40,17 +43,42 @@ from conftest import (
 )
 
 
+def l2_without(oracle, n, tm):
+    """The function ``j`` to ``l2(tm - j)``, rebuilt from the cut parts of ``tm``."""
+    cuts = oracle._cut_parts(n, tm)
+
+    def answer(j):
+        parts = cuts.get(j, [])
+        rest = tm & ~(1 << j)
+        for c in parts:
+            rest &= ~c
+        return sorted([c for c in [rest, *parts] if c], key=lambda c: c & -c)
+
+    return answer
+
+
 def without_answers(oracle, n, tm):
-    """The hook's answer for every ``j`` of ``tm`` that leaves ``tm - j`` non-empty."""
-    answer = oracle._l2_without(n, tm)
+    """``l2(tm - j)`` from the cut parts, for every ``j`` of ``tm`` that leaves it non-empty."""
+    answer = l2_without(oracle, n, tm)
     return [answer(j) for j in range(1, n + 1) if tm >> j & 1 and tm & ~(1 << j)]
+
+
+def direct_answers(oracle, n, tm):
+    """``_l2_masks(n, tm - j)`` for the same ``j``."""
+    return [oracle._l2_masks(n, tm & ~(1 << j))
+            for j in range(1, n + 1) if tm >> j & 1 and tm & ~(1 << j)]
 
 
 class TestGraphHook:
     def test_cut_vertices_leaves_and_root(self):
         n, edges = BOWTIE
         g = GraphConnectivityOracle(n, edges)
-        answer = g._l2_without(n, mask(*range(1, 9)))
+        cuts = g._cut_parts(n, mask(*range(1, 9)))
+        # The cut vertices, each with the parts it cuts off, and the root
+        # with its one subtree.
+        assert cuts == {1: [mask(*range(2, 9))], 3: [mask(*range(4, 9))],
+                        5: [mask(6, 7, 8)], 6: [mask(7, 8)], 7: [mask(8)]}
+        answer = l2_without(g, n, mask(*range(1, 9)))
         assert answer(1) == [mask(*range(2, 9))]  # the root, with one child
         assert answer(2) == [mask(1, *range(3, 9))]
         assert answer(3) == [mask(1, 2), mask(*range(4, 9))]
@@ -61,16 +89,18 @@ class TestGraphHook:
     def test_root_with_several_children(self):
         n, edges = STAR
         g = GraphConnectivityOracle(n, edges)
-        assert g._l2_without(n, mask(1, 2, 3, 4, 5))(1) == [mask(2), mask(3), mask(4), mask(5)]
+        assert l2_without(g, n, mask(1, 2, 3, 4, 5))(1) == [mask(2), mask(3), mask(4), mask(5)]
         n, edges = SWAPPED
         g = GraphConnectivityOracle(n, edges)
-        answer = g._l2_without(n, mask(1, 2, 3, 4, 5))
+        # The root's parts, in whatever order the sweep found them.
+        assert set(g._cut_parts(n, mask(1, 2, 3, 4, 5))[1]) == {mask(3), mask(2, 4, 5)}
+        answer = l2_without(g, n, mask(1, 2, 3, 4, 5))
         assert answer(1) == [mask(2, 4, 5), mask(3)]
         assert answer(5) == [mask(1, 3), mask(2), mask(4)]
 
     def test_two_vertices_leave_singletons(self):
         g = GraphConnectivityOracle(3, [(2, 3)])
-        answer = g._l2_without(3, mask(2, 3))
+        answer = l2_without(g, 3, mask(2, 3))
         assert answer(2) == [mask(3)]
         assert answer(3) == [mask(2)]
 
@@ -84,6 +114,23 @@ class TestGraphHook:
             for ids in itertools.combinations(range(1, 7), r):
                 s = make_solution(inst, IdSet(6, ids))
                 assert outcome(children, inst, s) == outcome(children, custom, s)
+
+
+@pytest.mark.parametrize("witness", [None, 0])
+def test_cut_parts_without_a_witness_raise_a_contract_error(witness):
+    # A backend that answers _cut_parts but gives a candidate no witness
+    # breaks the hook pair: the scan names the hook that failed it.
+    class NoWitness(GraphConnectivityOracle):
+        def _neighbours(self, n, cm, ym):
+            return witness
+
+    n, edges = BOWTIE
+    got = []
+    with pytest.raises(ContractError, match="_neighbours answered"):
+        enumerate_components(NoWitness(n, edges), n, sink=got.append)
+    # Group 0's root {1..8} has no children; group 1's root {2..8} is
+    # emitted before its child scan asks for a witness.
+    assert [list(s.elements) for s in got] == [list(range(1, 9)), list(range(2, 9))]
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -108,7 +155,8 @@ def test_graph_hook_matches_l2_on_every_component(case):
         if hull & part:
             seeds += g._l2_masks(n, hull & part)
         for tm in seeds:
-            assert without_answers(g, n, tm) == without_answers(plain, n, tm)
+            assert without_answers(g, n, tm) == direct_answers(plain, n, tm)
+        assert plain._cut_parts(n, hull) is None
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -120,7 +168,8 @@ def test_explicit_default_hook_matches_reference_l2(case):
     for c in family:
         rests = [c - IdSet(n, [j]) for j in c] if len(c) > 1 else []
         want = [[m._mask for m in reference_l2(family, rest)] for rest in rests]
-        assert without_answers(oracle, n, c._mask) == want
+        assert oracle._cut_parts(n, c._mask) is None
+        assert direct_answers(oracle, n, c._mask) == want
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -171,8 +220,8 @@ def test_custom_backend_sees_the_same_l2_queries(graph, queries, digest):
 def test_explicit_backend_takes_the_default_hook():
     family = [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]
     o = ExplicitFamilyOracle(3, family)
-    answer = o._l2_without(3, mask(1, 2, 3))
-    assert [answer(j) for j in (1, 2, 3)] == [[mask(2, 3)], [mask(1), mask(3)], [mask(1, 2)]]
+    assert o._cut_parts(3, mask(1, 2, 3)) is None
+    assert direct_answers(o, 3, mask(1, 2, 3)) == [[mask(2, 3)], [mask(1), mask(3)], [mask(1, 2)]]
     got = []
     enumerate_components(o, 3, sink=got.append)
     assert {s.elements for s in got} == {IdSet(3, c) for c in family}

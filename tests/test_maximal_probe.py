@@ -5,13 +5,14 @@ call, always with ``y0`` the slice of the group's item.  From the
 witness ``w`` it answers a child-scan candidate's solution test and every
 trial hull of the item pass with ``not w & y``, and asks
 ``_l1_mask(n, c, y) == c`` instead when the backend gives no witness;
-each answer counts as one ``l1``.  The components-mode instance answers
-the whole parent test from ``w``.  These tests hold both shipped
+each answer counts as one ``l1``.  The closed-form child scan of
+components mode asks the witness once per candidate instead of a parent
+test.  These tests hold both shipped
 backends, through ``conftest.maximal_in``, to the ``l1`` answer over
 every component and every hull holding it on seeded graphs and families,
 and the graph backend on drawn graphs too, along whole item passes.
-Count tests check that a run asks one witness per parent test and that
-no candidate gets a second.  The explicit backend's ``l1`` answers from
+Count tests check that a run asks one witness per candidate and that no
+candidate gets a second.  The explicit backend's ``l1`` answers from
 its per-element bitmaps; it must answer as ``reference_l1`` does.
 """
 
@@ -170,6 +171,13 @@ class CountingGraph(GraphConnectivityOracle):
         return super()._l1_mask(n, xm, ym)
 
 
+class GenericScanGraph(CountingGraph):
+    """The counting graph backend without cut parts: the generic child scan."""
+
+    def _cut_parts(self, n, tm):
+        return None
+
+
 def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
     calls = {"_parent": 0}
 
@@ -178,18 +186,25 @@ def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
         return _f(*args)
 
     monkeypatch.setattr(_Run, "_parent", counted)
-    g = CountingGraph(20, [(v, v % 20 + 1) for v in range(1, 21)])
+    edges = [(v, v % 20 + 1) for v in range(1, 21)]
+    g = CountingGraph(20, edges)
     stats = OracleStats()
     enumerate_components(g, 20, stats=stats)
     # The --stats counts tests/test_order_guard.py pins for this cycle.
     assert {k: stats.as_dict()[k] for k in ("l1_calls", "l2_calls", "rho_calls",
                                             "traversal_calls")} == {
         "l1_calls": 10923, "l2_calls": 2472, "rho_calls": 381, "traversal_calls": 379}
-    # One witness per parent test.  In components mode the instance
-    # answers every parent test from it, so each counted l1 stands for an
-    # answer no query was asked for.
-    assert len(g.built) == calls["_parent"] > 0
-    assert g.l1_answers == 0
+    # The closed-form scan runs no parent test, so each counted l1 stands
+    # for an answer no query was asked for.
+    assert calls["_parent"] == g.l1_answers == 0
+    # The generic scan runs one parent test, with one witness, per
+    # candidate that passes its group filters; the closed form asks the
+    # same witnesses in the same order and counts the same.
+    generic = GenericScanGraph(20, edges)
+    generic_stats = OracleStats()
+    enumerate_components(generic, 20, stats=generic_stats)
+    assert generic_stats.as_dict() == stats.as_dict()
+    assert g.built == generic.built and len(g.built) == calls["_parent"] > 0
 
 
 @pytest.mark.parametrize(
