@@ -180,7 +180,7 @@ class SetSystemOracle:
 
     Three optional hooks, ``_neighbours``, ``_l1_growth`` and
     ``_cut_parts``, each state their contract in their own docstring.
-    The graph backend overrides all three; the explicit backend none.
+    Both shipped backends override ``_l1_growth``, the graph backend all three.
     """
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
@@ -217,19 +217,19 @@ class SetSystemOracle:
         return None
 
     def _l1_growth(self, n: int, sm: int, ym: int) -> Iterator[int]:
-        """The elements the parent test's element pass keeps, ascending.
+        """The least component of ``ym`` holding ``sm``, outside ``sm``, ascending.
 
         The parent test ``_Run._parent`` asks it once per call, with ``sm``
         the component it asks about and ``ym`` the hull its item pass
-        settled on, which holds ``sm``.  The pass grows ``grown``, starting
-        from ``sm``, through the elements of ``ym - sm`` in ascending order,
-        and keeps each bit ``b`` with ``_l1_mask(n, grown | b, ym)`` not
-        ``None``, adding it to ``grown``; the generator yields each kept
-        bit.  The default asks ``_l1_mask`` bit by bit, only when the next
-        kept element is asked for, so a pass stopped early asks nothing
-        more.  ``OracleStats`` counts one ``l1`` for every element passed
-        over, the kept one included, and for all those left when the
-        generator is exhausted.
+        settled on, which holds ``sm``.  Its element pass grows ``sm``
+        through ``ym - sm`` in ascending order, keeping each bit ``b`` with
+        ``_l1_mask(n, grown | b, ym)`` not ``None``.  A component between
+        ``sm`` and ``ym`` holds the first element where it differs from what
+        the pass grows, which the pass would keep: none precedes it.  The
+        default asks ``_l1_mask`` bit by bit, only when the next kept element
+        is asked for, so a pass stopped early asks nothing more.
+        ``OracleStats`` counts one ``l1`` for every element passed over, the
+        kept one included, and for all those left when it is exhausted.
         """
         grown = sm
         rest = ym & ~sm

@@ -14,13 +14,13 @@ envelope of the enumeration does not depend on either memo.
 
 Both backends answer the enumerator's mask queries (``_l1_mask``,
 ``_l2_masks``) directly.  They share one public ``l1``/``l2``, which
-checks the query and wraps each mask answer in a fresh :class:`IdSet`.
-Of the optional hooks, whose contracts :class:`SetSystemOracle` states,
-the graph backend overrides all three and the explicit backend none:
+checks the query and wraps each mask answer in a fresh :class:`IdSet`,
+and one ``_l1_growth``, one ``l1`` per element pass.  Of the other
+optional hooks, whose contracts :class:`SetSystemOracle` states, the
+graph backend overrides both and the explicit backend neither:
 
 * ``_neighbours``: the component's neighbours in the hull, one walk, which
   answers each maximality question with one AND;
-* ``_l1_growth``: the one component of the hull holding the start set;
 * ``_cut_parts``: one depth-first sweep, which lists the parts each cut
   vertex cuts off, so the ``--components`` child scan asks no ``l2``.
 """
@@ -33,7 +33,10 @@ from .core import ContractError, IdSet, SetSystemOracle, lex_sort_key
 
 
 class _MaskBackend(SetSystemOracle):
-    """One public ``l1``/``l2``: check the query, wrap each mask answer in a new IdSet."""
+    """One public ``l1``/``l2``: check the query, wrap each mask answer in a new IdSet.
+
+    Each ``l1(x, y)`` answers the least component between ``x`` and ``y``.
+    """
 
     def _query_mask(self, s: IdSet) -> int:
         if s.capacity != self.n:
@@ -54,6 +57,17 @@ class _MaskBackend(SetSystemOracle):
     def l2(self, y: IdSet) -> List[IdSet]:
         n = self.n
         return [IdSet._from_mask(n, m) for m in self._l2_masks(n, self._query_mask(y))]
+
+    def _l1_growth(self, n: int, sm: int, ym: int) -> Iterator[int]:
+        # The pass grows the least component of ym holding sm, which is what
+        # l1 answers: one _l1_mask, at the first next() with elements left.
+        rest = ym & ~sm
+        if rest:
+            rest &= self._l1_mask(n, sm, ym)
+        while rest:
+            bit = rest & -rest
+            yield bit
+            rest ^= bit
 
 
 class ExplicitFamilyOracle(_MaskBackend):
@@ -175,9 +189,8 @@ class GraphConnectivityOracle(_MaskBackend):
     witness runs no sweep: a connected set is maximal within ``y`` exactly
     when no vertex of ``y`` outside it is adjacent to it, so the witness is
     the set's neighbours inside the outer hull, and each ``y`` inside that
-    hull costs one AND.  ``_l1_growth`` yields a parent test's
-    element pass from the component of the hull holding the solution,
-    taken once.
+    hull costs one AND.  ``l1`` answers the least component between ``x``
+    and ``y``: every connected set between them lies in the one it sweeps.
     ``_cut_parts`` runs one depth-first sweep of a component and lists
     the parts each of its cut vertices cuts off.
     """
@@ -236,20 +249,6 @@ class GraphConnectivityOracle(_MaskBackend):
         if xm & ~comp:
             return None
         return comp
-
-    def _l1_growth(self, n: int, sm: int, ym: int) -> Iterator[int]:
-        # sm is connected, so it and everything grown from it lie in the
-        # one component of ym holding sm, and grown | b lies inside a
-        # component of ym exactly when b is in that one: the pass keeps
-        # every element of that component outside sm.  It is taken at the
-        # first next() with elements left, from the memo or one sweep.
-        rest = ym & ~sm
-        if rest:
-            rest &= self._l1_mask(n, sm, ym)
-        while rest:
-            bit = rest & -rest
-            yield bit
-            rest ^= bit
 
     def _neighbours(self, n: int, cm: int, ym: int) -> Optional[int]:
         # cm is connected, so it is maximal within y iff no vertex of y - cm

@@ -343,6 +343,22 @@ class TestRun:
             line = "warning: sigma in the input is ignored in --components mode\n" + line
         assert (code, out, err) == (2, "", line)
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["p3.json", "--verify"], 0), (["cycle12.json", "--components", "--k", "13"], 2)],
+    )
+    def test_main_exits_with_the_run_code(self, monkeypatch, capsys, args, code):
+        # main is the installed polyenum script: it reads sys.argv, prints
+        # what run prints and exits with the code run returns.
+        argv = ["--input", str(Path(__file__).parents[1] / "docs" / args[0]), *args[1:]]
+        out, err = io.StringIO(), io.StringIO()
+        assert run(argv, out, err) == code
+        monkeypatch.setattr(sys, "argv", ["polyenum", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+        assert capsys.readouterr() == (out.getvalue(), err.getvalue())
+
     def test_unknown_flag_exits_2(self, tmp_path):
         path = write_doc(tmp_path, P3_DOC)
         assert run(["--input", path, "--frobnicate"], stdout=io.StringIO()) == 2

@@ -2,11 +2,12 @@
 
 The element pass grows a solution ``s`` inside a hull one element at a
 time: it keeps each element ``b`` left, in ascending order, with
-``l1(grown | b, hull)`` not ``None``.  The hook yields the kept elements.
-The default asks ``_l1_mask`` bit by bit; the graph backend yields the
-one component of the hull holding ``s``.  Both must yield the same
-elements, and the enumerator must answer and count the same whether the
-graph backend's hook overrides are in place or hidden behind
+``l1(grown | b, hull)`` not ``None``, and so grows the least component of
+the hull holding ``s``.  The hook yields the kept elements.  The default
+asks ``_l1_mask`` bit by bit; both shipped backends answer ``l1`` with that
+least component and ask it once per pass.  Both must yield the same
+elements, and the enumerator must answer and count the same whether a
+shipped backend's hook overrides are in place or hidden behind
 ``PublicOnly``, which takes every default.
 """
 
@@ -21,6 +22,7 @@ from polyenum import (
     IdSet,
     Instance,
     ReducedInstance,
+    SetSystemOracle,
     children,
     enumerate_all,
     parent,
@@ -47,6 +49,16 @@ class SweepCounter(GraphConnectivityOracle):
     def _component_mask(self, seed, ymask):
         self.sweeps += 1
         return super()._component_mask(seed, ymask)
+
+
+class L1Counter(ExplicitFamilyOracle):
+    """The explicit backend, counting its ``_l1_mask`` answers."""
+
+    calls = 0
+
+    def _l1_mask(self, n, xm, ym):
+        self.calls += 1
+        return super()._l1_mask(n, xm, ym)
 
 
 def element_pass(oracle, n, sm, ym):
@@ -107,6 +119,26 @@ def test_graph_growth_sweeps_once_and_only_when_asked():
     assert g.sweeps == before
 
 
+def test_explicit_growth_asks_once_and_only_when_asked():
+    # Members inside the hull 1-4 that hold 2: 1-3, 2-3 and 2; the least,
+    # 1-3, comes first in subset order.  1-5 and 4-5 leave the hull.
+    n = 5
+    e = L1Counter(n, [[2], [2, 3], [1, 2, 3], [1, 2, 3, 4, 5], [4, 5]])
+    hull = mask(1, 2, 3, 4)
+    # Neither creating the generator nor an empty pass asks anything.
+    grow = e._l1_growth(n, mask(2), hull)
+    assert list(e._l1_growth(n, mask(1, 2, 3), mask(1, 2, 3))) == []
+    assert e.calls == 0
+    # The first element takes the one l1 of the pass; the rest ask none.
+    assert next(grow) == mask(1)
+    assert e.calls == 1
+    assert list(grow) == [mask(3)]
+    assert e.calls == 1
+    # The default asks one per element of the hull outside the start set.
+    assert list(SetSystemOracle._l1_growth(e, n, mask(2), hull)) == [mask(1), mask(3)]
+    assert e.calls == 4
+
+
 def reference_pass(family, n, sm, ym):
     """The element pass as a greedy scan built on ``reference_l1``."""
     y = IdSet._from_mask(n, ym)
@@ -123,7 +155,7 @@ def reference_pass(family, n, sm, ym):
 @given(case=families_and_queries())
 @example(case=(3, [IdSet(3, [2]), IdSet(3, [1, 2]), IdSet(3, [2, 3])], [(0, 0b1110)]))
 def test_explicit_growth_is_the_greedy_reference_pass(case):
-    # The explicit backend keeps the default hook.
+    # The explicit backend's one-call hook against the greedy scan.
     n, family, queries = case
     oracle = ExplicitFamilyOracle(n, family)
     full = (1 << (n + 1)) - 2
@@ -134,17 +166,18 @@ def test_explicit_growth_is_the_greedy_reference_pass(case):
                 assert list(oracle._l1_growth(n, c._mask, ym)) == want
 
 
-# All three graph overrides are hidden at once: the probe, the element
-# pass and the child scan.
+# Every override is hidden at once: the graph backend's probe, element
+# pass and child scan, and the explicit backend's element pass.
 @pytest.mark.parametrize("reduced", [False, True], ids=["solutions", "components"])
-@pytest.mark.parametrize(
-    "spec", [s for s in ACCEPTANCE_SPECS if s.kind == "graph"], ids=lambda s: f"graph{s.seed}"
-)
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
 def test_hidden_override_keeps_parent_children_and_counts(spec, reduced):
     inst = random_instance(spec)
     n = inst.n
-    edges = [(u, v) for u, nbrs in inst.oracle.adjacency.items() for v in nbrs if u < v]
-    plain = PublicOnly(GraphConnectivityOracle(n, edges))
+    if spec.kind == "graph":
+        edges = [(u, v) for u, nbrs in inst.oracle.adjacency.items() for v in nbrs if u < v]
+        plain = PublicOnly(GraphConnectivityOracle(n, edges))
+    else:
+        plain = PublicOnly(ExplicitFamilyOracle(n, inst.oracle.family))
     if reduced:
         inst, hidden = ReducedInstance(n, inst.oracle), ReducedInstance(n, plain)
     else:
