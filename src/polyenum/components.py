@@ -43,17 +43,14 @@ class ReducedInstance(Instance):
     # mask ``_full``); the public methods inherited from Instance check
     # their arguments and wrap these.
 
-    def _sigma_mask(self, v: int) -> int:
-        return self._full & ~(1 << v)
-
     def _slice_mask(self, i: int) -> int:
         return self._full & ~(1 << i)
 
     def _common_mask(self, xm: int) -> int:
         return self._full & ~xm
 
-    def _hull_mask(self, items: int) -> int:
-        return self._full & ~items
+    _sigma_mask = _slice_mask
+    _hull_mask = _common_mask
 
     def _children(self, stats: OracleStats, tm: int, k: int) -> Optional[Iterator[int]]:
         cuts = self.oracle._cut_parts(self.n, tm)
@@ -62,31 +59,28 @@ class ReducedInstance(Instance):
     def _child_scan(self, stats: OracleStats, tm: int, k: int,
                     cuts: Dict[int, List[int]]) -> Iterator[int]:
         # The generic scan asks l2(tm - j) for each j of tm above k; an
-        # answer cm passes its group filters iff it holds tm & [1, j): for
-        # a non-cut j that is tm - j, for j = min(tm) every part, and for
-        # another cut j at most the part holding min(tm).  The parent of
-        # cm is cm | u, u = max(w) for its witness w, so cm is a child iff
-        # tm - cm = {u}: of several parts none is, so their order is free.
-        # Otherwise the item pass, which drops every item but k and u,
-        # ends at the first element of tm - cm - u.
+        # answer cm passes the j filter iff it holds tm & [1, j): the parts
+        # listed for j = min(tm), or else tm - j - cut when cut, what j
+        # cuts off (nothing without an entry), holds nothing below j.  The
+        # parent of cm is cm | u, u = max(w) for its witness w, so cm is a
+        # child iff tm - cm = {u}: of several parts none is, so their
+        # order is free.  Otherwise the item pass, which drops every item
+        # but k and u, ends at the first element of tm - cm - u.
         oracle, n = self.oracle, self.n
         low, ym = tm & -tm, self._slice_mask(k)
         rest = tm & -(2 << k)
         while rest:
             jbit = rest & -rest
             rest ^= jbit
-            cm = tm ^ jbit
-            if not cm:
+            if tm == jbit:
                 continue
             stats.l2_calls += 1  # l2(tm - j), answered from the cuts
-            parts = cuts.get(jbit.bit_length() - 1)
-            if parts is None:
-                cands: Sequence[int] = (cm,)
-            elif jbit == low:
-                cands = parts
+            parts = cuts.get(jbit.bit_length() - 1, ())
+            if jbit == low and parts:
+                cands: Sequence[int] = parts
             else:
-                cm &= ~sum(parts)  # the parts are disjoint
-                cands = () if tm & (jbit - 1) & ~cm else (cm,)
+                cut = sum(parts)  # the parts are disjoint
+                cands = () if cut & (jbit - 1) else (tm ^ jbit ^ cut,)
             for cm in cands:
                 w = oracle._neighbours(n, cm, ym)
                 if not w:

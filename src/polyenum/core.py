@@ -205,25 +205,25 @@ class SetSystemOracle:
     def _cut_parts(self, n: int, tm: int) -> Optional[Dict[int, List[int]]]:
         """The parts each cut vertex of the component ``tm`` cuts off, or ``None``.
 
-        The components-mode child scan asks it once per node ``tm`` and
-        then asks no ``l2``.  An answer maps each ``j`` that splits ``tm``
-        to the components of ``tm - j`` not holding ``min(tm)``, and
-        ``min(tm)`` to every component of ``tm - min(tm)``, even one.  Only
-        a backend that answers ``_neighbours`` may answer it: the scan asks
-        that witness of each candidate.  The default ``None`` leaves one
-        ``_l2_masks(n, tm - j)`` query per ``j``.  ``OracleStats`` counts one
-        ``l2`` per ``j`` either way.
+        The components-mode child scan asks it once per node ``tm`` and then
+        asks no ``l2``.  An answer maps each ``j`` that splits ``tm`` to the
+        components of ``tm - j`` not holding ``min(tm)``, and ``min(tm)`` to
+        every component of ``tm - min(tm)``; a ``j`` left out, ``min(tm)``
+        too, cuts off nothing.  Only a backend that answers ``_neighbours``
+        may answer it: the scan asks that witness of each candidate.  The
+        default ``None`` leaves one ``_l2_masks(n, tm - j)`` query per
+        ``j``.  ``OracleStats`` counts one ``l2`` per ``j`` either way.
         """
         return None
 
     def _l1_growth(self, n: int, sm: int, ym: int) -> Iterator[int]:
         """The least component of ``ym`` holding ``sm``, outside ``sm``, ascending.
 
-        The parent test ``_Run._parent`` asks it once per call, with ``sm``
-        the component it asks about and ``ym`` the hull its item pass
-        settled on, which holds ``sm``.  Its element pass grows ``sm``
-        through ``ym - sm`` in ascending order, keeping each bit ``b`` with
-        ``_l1_mask(n, grown | b, ym)`` not ``None``.  A component between
+        The parent test ``_Run._parent`` asks it once per call that gets past
+        its item pass, with ``sm`` the component it asks about and ``ym`` the
+        hull that pass settled on, which holds ``sm``.  Its element pass grows
+        ``sm`` through ``ym - sm`` in ascending order, keeping each bit ``b``
+        with ``_l1_mask(n, grown | b, ym)`` not ``None``.  A component between
         ``sm`` and ``ym`` holds the first element where it differs from what
         the pass grows, which the pass would keep: none precedes it.  The
         default asks ``_l1_mask`` bit by bit, only when the next kept element

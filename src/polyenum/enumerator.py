@@ -207,21 +207,19 @@ class _Run:
 
         For each item ``j`` above ``k = t.k`` that ``t`` does not share, the
         candidates are the maximal components of ``t`` restricted to the
-        ``j``-carrying elements.  A candidate is a child when its group is
-        ``k``, when ``j`` is the smallest new item it gains over ``t``
-        (each child is generated for exactly one ``j``), and when the child
-        test ``_parent(c, items, k, t)`` returns ``t``'s elements.  Checks
-        run cheapest first; the child test dominates.  A node in group 0,
-        or with no such ``j``, has no children and asks nothing.  An
-        instance that can list the children in closed form does so instead,
-        with the same counts.
+        ``j``-carrying elements.  A candidate is a child when ``j`` is the
+        least new item it gains over ``t`` (each child is generated for
+        exactly one ``j``, and one outside group ``k`` gains an item below
+        ``k < j``) and the child test ``_parent(c, items, k, t)`` returns
+        ``t``'s elements.  A node in group 0, or with no such ``j``, has no
+        children and asks nothing.  An instance that can list the children
+        in closed form does so instead, with the same counts.
         """
         inst = self.inst
         tm, tim, k = t.elements._mask, t.items._mask, t.k
-        kbit = 1 << k
         # The items above k that t lacks and some element carries; the
         # others have no element in t's slice to ask about.
-        rest = inst._carried & ~tim & -(kbit << 1)
+        rest = inst._carried & ~tim & -(2 << k)
         if not (k and rest):
             return
         cms = inst._children(self.stats, tm, k)
@@ -238,8 +236,6 @@ class _Run:
             self.stats.l2_calls += 1
             for cm in self.oracle._l2_masks(self.n, ym):
                 im = inst._common_mask(cm)
-                if im & -im != kbit:
-                    continue  # another group
                 new = im & ~tim
                 if new & -new != jbit:
                     continue  # generated for a smaller j

@@ -217,6 +217,37 @@ def test_custom_backend_sees_the_same_l2_queries(graph, queries, digest):
     assert direct_stats.as_dict() == stats.as_dict()
 
 
+class RootLeftOut(GraphConnectivityOracle):
+    """Leaves ``min(tm)``'s entry out of ``_cut_parts`` when it lists one part."""
+
+    dropped = 0
+
+    def _cut_parts(self, n, tm):
+        cuts = super()._cut_parts(n, tm)
+        root = (tm & -tm).bit_length() - 1
+        if len(cuts.get(root, ())) == 1:
+            del cuts[root]
+            self.dropped += 1
+        return cuts
+
+
+@pytest.mark.parametrize("graph", [BOWTIE, STAR, SWAPPED, CYCLE10, GNP11],
+                         ids=["bowtie", "star", "swapped", "cycle10", "gnp11"])
+def test_an_absent_root_entry_cuts_off_nothing(graph):
+    # min(tm) with one part leaves tm - min(tm) whole, exactly what an
+    # absent entry reads as, so leaving it out moves no record and no count.
+    n, edges = graph
+    left_out = RootLeftOut(n, edges)
+    stats, out = OracleStats(), []
+    enumerate_components(left_out, n, sink=out.append, stats=stats)
+    assert left_out.dropped
+    plain_stats, plain = OracleStats(), []
+    enumerate_components(GraphConnectivityOracle(n, edges), n, sink=plain.append,
+                         stats=plain_stats)
+    assert out == plain
+    assert stats.as_dict() == plain_stats.as_dict()
+
+
 def test_explicit_backend_takes_the_default_hook():
     family = [[1], [2], [3], [1, 2], [2, 3], [1, 2, 3]]
     o = ExplicitFamilyOracle(3, family)

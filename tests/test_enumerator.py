@@ -151,6 +151,42 @@ def test_parent_target_test_agrees_with_full_parent(spec):
             )
 
 
+@pytest.mark.parametrize("reduced", [False, True], ids=["solutions", "components"])
+def test_j_filter_rejects_every_other_group(reduced):
+    """An ``l2`` answer outside ``t``'s group gains an item below ``j``.
+
+    The generic child scan keeps an answer only when ``j`` is the least
+    item it gains over ``t``, with no group check of its own: ``t`` holds
+    no item below ``k = t.k``, and an answer inside ``t`` keeps every item
+    of ``t``, so one whose least item is not ``k`` gains an item below
+    ``k < j``.  Replays the scan's queries for every solution of the
+    acceptance corpus in an inner group.
+    """
+    other = 0
+    for spec in ACCEPTANCE_SPECS:
+        inst = random_instance(spec)
+        if reduced:
+            inst = ReducedInstance(inst.n, inst.oracle)
+        for t in brute_force_solutions(inst):
+            tm, tim, k = t.elements._mask, t.items._mask, t.k
+            if not k:
+                continue
+            rest = inst._carried & ~tim & -(2 << k)
+            while rest:
+                jbit = rest & -rest
+                rest ^= jbit
+                ym = tm & inst._slice_mask(jbit.bit_length() - 1)
+                if not ym:
+                    continue
+                for cm in inst.oracle._l2_masks(inst.n, ym):
+                    im = inst._common_mask(cm)
+                    if im & -im != 1 << k:
+                        new = im & ~tim
+                        assert new & -new < jbit
+                        other += 1
+    assert other
+
+
 def parent_from_scratch(inst, s):
     """The parent routine with every hull and common item set recomputed."""
     l1 = inst.oracle.l1

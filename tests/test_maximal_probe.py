@@ -198,7 +198,7 @@ def test_components_of_a_20_cycle_build_one_factory_per_solution(monkeypatch):
     # for an answer no query was asked for.
     assert calls["_parent"] == g.l1_answers == 0
     # The generic scan runs one parent test, with one witness, per
-    # candidate that passes its group filters; the closed form asks the
+    # candidate that passes the j filter; the closed form asks the
     # same witnesses in the same order and counts the same.
     generic = GenericScanGraph(20, edges)
     generic_stats = OracleStats()
