@@ -288,49 +288,34 @@ class GraphConnectivityOracle(_MaskBackend):
 
     def _cut_parts(self, n: int, tm: int) -> Dict[int, List[int]]:
         # tm is a component, so one depth-first sweep from its least vertex
-        # reaches all of it and finds its cut vertices by low points
-        # (Hopcroft and Tarjan, 1973).  A child c of j whose subtree has no
-        # edge above j (low[c] >= disc[j]) is a component of tm - j on its
-        # own, as is every subtree of the root; for any other j the rest
-        # of tm - j holds the root.  The parts take O(|tm|) memory together.
+        # reaches all of it.  Each stack entry is a vertex on the tree path,
+        # the vertices seen before it (its subtree is what has been seen
+        # since) and the OR of its subtree's adjacency rows so far.  A
+        # popped vertex has every neighbour seen, so outside v's subtree and
+        # its parent p only p's ancestors, all seen before p, can touch the
+        # subtree: it is a component of tm - p exactly when its rows miss
+        # what was seen before p, as every subtree of the root does.  The
+        # parts take O(|tm|) memory together.
         adj = self._adj
         root = (tm & -tm).bit_length() - 1
-        disc = {root: 0}
-        low = {root: 0}
         cuts: Dict[int, List[int]] = {}
-        # Each entry is a vertex on the tree path and the vertices seen
-        # before it, so its subtree is what has been seen since.
-        stack = [(root, 0)]
+        stack = [(root, 0, adj[root])]
         seen = 1 << root
         while stack:
-            v, before = stack[-1]
+            v, before, reach = stack[-1]
             nxt = adj[v] & tm & ~seen
             if nxt:
                 bit = nxt & -nxt
                 w = bit.bit_length() - 1
-                # Every neighbour of w seen so far is on the stack: in an
-                # undirected depth-first sweep an edge joins an ancestor
-                # and a descendant.
-                d = lo = len(disc)
-                back = adj[w] & seen
-                while back:
-                    lsb = back & -back
-                    u = disc[lsb.bit_length() - 1]
-                    if u < lo:
-                        lo = u
-                    back ^= lsb
-                disc[w] = d
-                low[w] = lo
-                stack.append((w, seen))
+                stack.append((w, seen, adj[w]))
                 seen |= bit
                 continue
             stack.pop()
             if stack:
-                p = stack[-1][0]
-                if low[v] >= disc[p]:
+                p, above, prow = stack[-1]
+                if not reach & above:
                     cuts.setdefault(p, []).append(seen & ~before)
-                elif low[v] < low[p]:
-                    low[p] = low[v]
+                stack[-1] = (p, above, prow | reach)
         return cuts
 
     def delta_hint(self) -> int:

@@ -177,6 +177,7 @@ def union_find_components(edges, ym):
 
     def find(v):
         while root[v] != v:
+            root[v] = root[root[v]]  # path halving: long paths stay fast
             v = root[v]
         return v
 

@@ -12,6 +12,8 @@ backend sees are pinned.
 
 import hashlib
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,7 +42,11 @@ from conftest import (
     mask,
     outcome,
     reference_l2,
+    union_find_components,
 )
+
+
+CHORDED_PATH = (6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)])
 
 
 def l2_without(oracle, n, tm):
@@ -85,6 +91,12 @@ class TestGraphHook:
         assert answer(5) == [mask(1, 2, 3, 4), mask(6, 7, 8)]
         assert answer(7) == [mask(*range(1, 7)), mask(8)]
         assert answer(8) == [mask(*range(1, 8))]  # a leaf
+        # The path 1-...-6 with the chord 3-6: the back edge from 6, two
+        # levels below 4, reaches 3, so neither 4 nor 5 cuts anything off,
+        # and 3 still does.
+        g = GraphConnectivityOracle(*CHORDED_PATH)
+        assert g._cut_parts(6, mask(*range(1, 7))) == {
+            1: [mask(2, 3, 4, 5, 6)], 2: [mask(3, 4, 5, 6)], 3: [mask(4, 5, 6)]}
 
     def test_root_with_several_children(self):
         n, edges = STAR
@@ -142,6 +154,7 @@ def test_cut_parts_without_a_witness_raise_a_contract_error(witness):
 @example(case=STAR + (mask(*range(1, 6)), 0))
 @example(case=SWAPPED + (mask(*range(1, 6)), 0))
 @example(case=(40, [(i, i + 1) for i in range(1, 40)], mask(*range(1, 41)), mask(20)))
+@example(case=CHORDED_PATH + (mask(*range(1, 7)), mask(3, 4, 5, 6)))
 def test_graph_hook_matches_l2_on_every_component(case):
     n, edges, ym, part = case
     g = GraphConnectivityOracle(n, edges)
@@ -157,6 +170,51 @@ def test_graph_hook_matches_l2_on_every_component(case):
         for tm in seeds:
             assert without_answers(g, n, tm) == direct_answers(plain, n, tm)
         assert plain._cut_parts(n, hull) is None
+
+
+def test_sweep_on_a_path_deeper_than_the_recursion_limit():
+    # Hypothesis stops at 40 vertices.  On the path 1-...-3000 every vertex
+    # but the last cuts off all that follows it, and the sweep is 3,000
+    # entries deep, past Python's recursion limit.
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    g = GraphConnectivityOracle(n, [(i, i + 1) for i in range(1, n)])
+    full = (1 << (n + 1)) - 2
+    assert g._cut_parts(n, full) == {j: [full >> (j + 1) << (j + 1)] for j in range(1, n)}
+
+
+def large_sparse_graphs():
+    """The 3,000-vertex path relabelled, and three random trees with chords."""
+    rng = random.Random(29)
+    perm = list(range(1, 3001))
+    rng.shuffle(perm)
+    yield 3000, [(perm[i], perm[i + 1]) for i in range(2999)]
+    for n in (100, 250, 400):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        edges = {(perm[rng.randrange(v)], perm[v]) for v in range(1, n)}
+        while len(edges) < n - 1 + n // 10:
+            u, v = rng.sample(perm, 2)
+            if (v, u) not in edges:
+                edges.add((u, v))
+        yield n, sorted(edges)
+
+
+@pytest.mark.parametrize("n, edges", large_sparse_graphs(),
+                         ids=["path3000", "tree100", "tree250", "tree400"])
+def test_sweep_matches_union_find_on_large_sparse_graphs(n, edges):
+    # Each graph is connected: its sweep lists the parts of 50 sampled
+    # vertices, and each l2(t - j) rebuilt from them must be what
+    # union-find gives on t - j.
+    g = GraphConnectivityOracle(n, edges)
+    tm = (1 << (n + 1)) - 2
+    answer = l2_without(g, n, tm)
+    split = 0
+    for j in random.Random(n).sample(range(1, n + 1), 50):
+        want = union_find_components(edges, tm & ~(1 << j))
+        assert answer(j) == want
+        split += len(want) > 1
+    assert split  # some sampled vertex is a cut vertex
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
