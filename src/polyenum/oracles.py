@@ -3,14 +3,15 @@
 Two set systems are shipped: a family listed member by member, indexed by
 element in bitmaps over the members, and the connected induced subgraphs
 of a simple undirected graph.  Both are deterministic, and concurrent
-queries are safe.  Each keeps one memo, and what it holds is a pure
-function of the set system, so a memo never changes an answer.  The
-explicit backend remembers which members lie inside each member ``l2``
-has kept, F² bits at most for F members.  The graph backend remembers
-the last component its ``l1`` queries swept and the hull it lies in,
-O(n) memory.
+queries are safe.  What each memo holds is a pure function of the set
+system, so a memo never changes an answer.  The explicit backend
+remembers which members lie inside each member ``l2`` has kept, F² bits
+at most for F members, and keeps at most one 256-entry table of F-bit
+bitmaps per 8-element chunk that a byte walk has read, built on first
+use.  The graph backend remembers the last component its ``l1`` queries
+swept and the hull it lies in, O(n) memory.
 ``OracleStats`` counts logical calls, memo hits included, so the call
-envelope of the enumeration does not depend on either memo.
+envelope of the enumeration does not depend on any memo.
 
 Both backends answer the enumerator's mask queries (``_l1_mask``,
 ``_l2_masks``) directly.  They share one public ``l1``/``l2``, which
@@ -78,14 +79,23 @@ class ExplicitFamilyOracle(_MaskBackend):
     ``v`` is an F-bit integer whose bit ``r`` is set when the ``r``-th
     member holds ``v``, so the index takes O(n·F) bits.  The members
     inside ``y`` are those holding no element outside it, an OR of the
-    columns outside ``y``.  ``l1(x, y)`` ANDs in the columns of ``x`` and
-    answers the lowest member left: a set precedes its proper subsets, so
-    that member is maximal within ``y``, and it wins the tie-break.
+    columns outside ``y``.  Only the support, the elements some member
+    holds, has non-empty columns, so the OR walks the support outside
+    ``y``: bit by bit when it has no more bits than the support has bytes,
+    and otherwise byte by byte (the method of Four Russians), reading for
+    each non-zero byte one entry of its chunk's table, the OR of the
+    columns of each of the 256 subsets of that 8-element chunk.  A table
+    is built the first time a byte walk reads its chunk, so there is at
+    most one 256-entry table of F-bit bitmaps per chunk read, and none
+    before the first byte walk.  ``l1(x, y)`` ANDs in the columns of
+    ``x`` and answers the lowest member left: a set precedes its proper
+    subsets, so that member is maximal within ``y``, and it wins the
+    tie-break.
     ``l2(y)`` keeps the lowest member inside ``y``, clears every member
     inside that one, and repeats.  Which members lie inside a member is
     worked out the first time ``l2`` keeps it and remembered as an F-bit
-    row, F² bits at most; a row is a pure function of the family, so the
-    memo never changes an answer.
+    row, F² bits at most; a row or a table is a pure function of the
+    family, so neither memo ever changes an answer.
     Each member must be non-empty, list no element twice and differ from
     every other member; the constructor rejects the first that does not.
     """
@@ -128,25 +138,49 @@ class ExplicitFamilyOracle(_MaskBackend):
         self._cols: Tuple[int, ...] = tuple(
             int("".join(col), 2) for col in zip(*bits)
         ) or (0,) * (n + 1)
+        # The elements some member holds: any other has an empty column.
+        support = 0
+        for m in self._masks:
+            support |= m
+        self._support = support
         # Per member, the bitmap of the members not inside it, filled when
-        # l2 first keeps the member.  Each row is a pure function of the
-        # family, so filling one never changes an answer, and a lost race
-        # only repeats the work.
+        # l2 first keeps the member, and per 8-element chunk of the
+        # support, the OR of the columns of each subset of the chunk,
+        # filled when a byte walk first reads the chunk.  Each row and
+        # table is a pure function of the family, so filling one never
+        # changes an answer, and a lost race only repeats the work.
         self._rows: List[Optional[int]] = [None] * len(self._masks)
+        self._tables: List[Optional[List[int]]] = [None] * ((support.bit_length() + 7) // 8)
 
-    def _leaving(self, n: int, sm: int) -> int:
+    def _table(self, c: int) -> List[int]:
+        """Chunk ``c``'s table: entry ``b`` ORs column ``8c + i`` for each bit ``i`` of ``b``."""
+        table = [0]
+        for col in self._cols[8 * c:8 * c + 8]:
+            table += [t | col for t in table]
+        self._tables[c] = table
+        return table
+
+    def _leaving(self, sm: int) -> int:
         """The bitmap of the members holding some element outside ``sm``."""
-        cols = self._cols
         out = 0
-        rest = ((1 << (n + 1)) - 2) & ~sm
-        while rest:
-            lsb = rest & -rest
-            out |= cols[lsb.bit_length() - 1]
-            rest ^= lsb
+        rest = self._support & ~sm
+        tables = self._tables
+        # Walk the shorter side: the bits of rest, or its bytes, one table
+        # entry per non-zero byte (the method of Four Russians).
+        if rest.bit_count() <= len(tables):
+            cols = self._cols
+            while rest:
+                lsb = rest & -rest
+                out |= cols[lsb.bit_length() - 1]
+                rest ^= lsb
+        else:
+            for c, b in enumerate(rest.to_bytes(len(tables), "little")):
+                if b:
+                    out |= (tables[c] or self._table(c))[b]
         return out
 
     def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
-        cand = self._all & ~self._leaving(n, ym)
+        cand = self._all & ~self._leaving(ym)
         cols = self._cols
         while xm and cand:
             lsb = xm & -xm
@@ -158,7 +192,7 @@ class ExplicitFamilyOracle(_MaskBackend):
 
     def _l2_masks(self, n: int, ym: int) -> List[int]:
         kept: List[int] = []
-        cand = self._all & ~self._leaving(n, ym)
+        cand = self._all & ~self._leaving(ym)
         masks, rows = self._masks, self._rows
         # Every strict superset of a candidate comes before it, so the
         # lowest candidate is maximal: keep it, clear the candidates inside
@@ -168,7 +202,7 @@ class ExplicitFamilyOracle(_MaskBackend):
             kept.append(masks[r])
             row = rows[r]
             if row is None:
-                row = rows[r] = self._leaving(n, masks[r])
+                row = rows[r] = self._leaving(masks[r])
             cand &= row
         return kept
 

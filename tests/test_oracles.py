@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from polyenum import (
     GraphConnectivityOracle,
     IdSet,
     Instance,
+    OracleStats,
     enumerate_all,
     enumerate_components,
     subset_lex_less,
@@ -235,7 +237,7 @@ def test_graph_memo_answers_like_a_fresh_oracle(seed):
 
 
 def mismatches_across_threads(ask, jobs):
-    """The queries ``ask`` answered wrongly, each job of ``(args, want)`` pairs in its own thread.
+    """The queries ``ask`` got wrong or raised on, each job of ``(args, want)`` pairs in its own thread.
 
     A short switch interval makes the threads interleave inside ``ask``.
     """
@@ -243,7 +245,11 @@ def mismatches_across_threads(ask, jobs):
 
     def work(queries):
         for args, want in queries:
-            if ask(*args) != want:
+            try:
+                got = ask(*args)
+            except Exception as e:  # a half-built memo may raise: count it
+                got = e
+            if got != want:
                 mismatches.append(args)
 
     threads = [threading.Thread(target=work, args=(q,)) for q in jobs]
@@ -299,6 +305,33 @@ def test_explicit_rows_shared_across_threads():
     assert any(row is not None for row in shared._rows)
 
 
+def test_explicit_chunk_tables_shared_across_threads():
+    # The chunk tables are built when a byte walk first reads them.  Dense
+    # hulls still leave out more elements than the walk has bytes, so both
+    # the hulls and the l2 rows walk bytes while threads on one oracle
+    # interleave: a race on a table must cost work, never an answer.
+    rng = random.Random(78)
+    n = 30
+    full = (1 << (n + 1)) - 2
+    family = [IdSet._from_mask(n, m) for m in {rng.getrandbits(n) << 1 | 2 for _ in range(200)}]
+    shared = ExplicitFamilyOracle(n, family)
+    jobs = []
+    for _ in range(6):
+        fresh = ExplicitFamilyOracle(n, family)
+        queries = []
+        for _ in range(150):
+            ym = full & ~((rng.getrandbits(n) & rng.getrandbits(n)) << 1)
+            xm = ym & (rng.getrandbits(n) << 1) or ym & -ym
+            queries.append(((xm, ym), (fresh._l1_mask(n, xm, ym), fresh._l2_masks(n, ym))))
+        jobs.append(queries)
+
+    def ask(xm, ym):
+        return shared._l1_mask(n, xm, ym), shared._l2_masks(n, ym)
+
+    assert mismatches_across_threads(ask, jobs) == []
+    assert any(table is not None for table in shared._tables)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_explicit_mask_scans_match_idset_reference(seed):
     # Families of many incomparable mid-sized sets; y is a union of
@@ -339,6 +372,19 @@ def test_explicit_mask_scans_match_idset_reference(seed):
                  [(0b10, 0b1110), (0b10, 0b10), (0b100, 0b100)]))
 @example(case=(8, [IdSet._from_mask(8, m << 1) for m in range(1, 256, 2)]
                   + [IdSet(8, [2]), IdSet(8, [4])], [(0b100, 0b111111110), (0b100, 0b10100)]))
+# Members on both sides of the multiples of 8 and holding n, over three and
+# six byte chunks, with hulls that leave out fewer and more elements than
+# the byte count.
+@example(case=(17, [IdSet(17, [7, 8, 9]), IdSet(17, [8, 16, 17]), IdSet(17, [1, 17]),
+                    IdSet(17, [9, 15, 16]), IdSet(17, [15, 16]), IdSet(17, range(1, 18))],
+               [(1 << 8, (1 << 18) - 2), (1 << 8, 0b1110000000), (1 << 16, 0b111 << 15),
+                (1 << 17, ((1 << 18) - 2) & ~(1 << 8 | 1 << 9))]))
+@example(case=(40, [IdSet(40, [7, 8]), IdSet(40, [8, 9]), IdSet(40, [15, 16, 17]),
+                    IdSet(40, [23, 24, 25, 40]), IdSet(40, [31, 32, 33]), IdSet(40, [39, 40]),
+                    IdSet(40, [1, 40]), IdSet(40, [16, 24, 32, 40]), IdSet(40, range(1, 41))],
+               [(1 << 8, (1 << 41) - 2), (1 << 16, 0b111 << 15 | 1 << 24),
+                (1 << 40, ((1 << 41) - 2) & ~(1 << 8 | 1 << 24)),
+                (1 << 24, 0b111 << 23 | 1 << 40 | 0b11 << 31), (1 << 9, 0b11 << 8)]))
 def test_explicit_bitmap_index_matches_reference(case):
     n, family, queries = case
     oracle = ExplicitFamilyOracle(n, family)
@@ -353,6 +399,76 @@ def test_explicit_bitmap_index_matches_reference(case):
         if xm:
             z = reference_l1(family, IdSet._from_mask(n, xm), y)
             assert oracle._l1_mask(n, xm, ym) == (None if z is None else z._mask)
+
+
+def straddling_family(n, rng):
+    """Members over ``[1, n]``: some hold ``n``, some lie on both sides of a multiple of 8."""
+    masks = {1 << n, (1 << (n + 1)) - 2}
+    for b in range(8, n + 1, 8):
+        near = [v for v in (b - 1, b, b + 1) if v <= n]
+        masks.update(1 << u | 1 << v for u in near for v in near)
+        masks.add(1 << near[0] | 1 << near[-1] | 1 << n)
+    masks.update(rng.getrandbits(n) << 1 for _ in range(6))
+    masks.update(1 << rng.randint(1, n) | 1 << rng.randint(1, n) for _ in range(6))
+    masks.discard(0)
+    family = [IdSet._from_mask(n, m) for m in masks]
+    rng.shuffle(family)
+    return family
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200])
+def test_explicit_byte_walk_matches_bit_walk_across_chunks(n):
+    # _leaving walks the bits of what lies outside the hull when they are
+    # no more than the support's bytes, and the bytes through the chunk
+    # tables otherwise.  Both must give the members holding an element
+    # outside the hull, and l1/l2 built on them must match the reference.
+    rng = random.Random(n)
+    family = straddling_family(n, rng)
+    oracle = ExplicitFamilyOracle(n, family)
+    support = oracle._support
+    nbytes = (support.bit_length() + 7) // 8
+    elements = [v for v in range(1, n + 1) if support >> v & 1]
+    cut = sum(1 << v for v in rng.sample(elements, min(nbytes, len(elements))))
+    sparse = [support, support & ~(1 << n), support & ~cut]
+    dense = [0, 1 << n, rng.getrandbits(n) << 1, (rng.getrandbits(n) & rng.getrandbits(n)) << 1]
+    dense += [c._mask for c in family if len(c) <= 2][:3]
+    assert all((support & ~ym).bit_count() <= nbytes for ym in sparse)
+    assert all((support & ~ym).bit_count() > nbytes for ym in dense) == (n > 1)
+
+    def leaving(ym):
+        return sum(1 << r for r, m in enumerate(oracle._masks) if m & ~ym)
+
+    for ym in sparse:
+        assert oracle._leaving(ym) == leaving(ym)
+    assert oracle._tables == [None] * nbytes
+    for ym in sparse + dense:
+        assert oracle._leaving(ym) == leaving(ym)
+        y = IdSet._from_mask(n, ym)
+        assert oracle._l2_masks(n, ym) == [c._mask for c in reference_l2(family, y)]
+        for xm in (ym & -ym, ym & rng.choice(family)._mask):
+            if xm:
+                z = reference_l1(family, IdSet._from_mask(n, xm), y)
+                assert oracle._l1_mask(n, xm, ym) == (None if z is None else z._mask)
+    assert any(table is not None for table in oracle._tables) == (n > 1)
+
+
+def test_one_member_over_a_large_universe_walks_its_support():
+    # Every l2 of the components run asks which members hold an element
+    # outside a set.  Only element 1 can, so each walk reads one bit and no
+    # chunk table is built, whatever the universe's size.
+    n = 10**5
+    stats, out = OracleStats(), []
+    tracemalloc.start()
+    try:
+        oracle = ExplicitFamilyOracle(n, [[1]])
+        enumerate_components(oracle, n, sink=out.append, stats=stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [list(s.elements) for s in out] == [[1]]
+    assert (stats.outputs, stats.l2_calls, stats.l1_calls) == (1, 3, 0)
+    assert oracle._tables == [None]
+    assert peak < 4 * 2**20, peak
 
 
 @st.composite
