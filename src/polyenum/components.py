@@ -7,15 +7,14 @@ shrinks it, which makes every component a solution.  Running the solution
 enumerator on that instance therefore yields exactly the component family.
 The parent of a component ``c`` in group ``k`` is ``c`` plus its greatest
 neighbour but ``k``, so with a backend that answers ``_cut_parts`` the
-instance lists each node's children in closed form from its cut vertices.
+instance lists each node's children in closed form from that one hook.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import ContractError, Instance, OracleStats, SetSystemOracle
-from .core import VolumeFunction, check_universe
+from .core import Instance, OracleStats, SetSystemOracle, VolumeFunction, check_universe
 from .enumerator import EmitSink, enumerate_all
 
 
@@ -53,20 +52,19 @@ class ReducedInstance(Instance):
     _hull_mask = _common_mask
 
     def _children(self, stats: OracleStats, tm: int, k: int) -> Optional[Iterator[int]]:
-        cuts = self.oracle._cut_parts(self.n, tm)
-        return None if cuts is None else self._child_scan(stats, tm, k, cuts)
+        parts = self.oracle._cut_parts(self.n, tm)
+        return None if parts is None else self._child_scan(stats, tm, k, *parts)
 
-    def _child_scan(self, stats: OracleStats, tm: int, k: int,
-                    cuts: Dict[int, List[int]]) -> Iterator[int]:
+    def _child_scan(self, stats: OracleStats, tm: int, k: int, cuts: Dict[int, List[int]],
+                    outer: List[Tuple[int, int]]) -> Iterator[int]:
         # The generic scan asks l2(tm - j) for each j of tm above k; an
         # answer cm passes the j filter iff it holds tm & [1, j): the parts
         # listed for j = min(tm), or else tm - j - cut when cut, what j
         # cuts off (nothing without an entry), holds nothing below j.  The
-        # parent of cm is cm | u, u = max(w) for its witness w, so cm is a
-        # child iff tm - cm = {u}: of several parts none is, so their
-        # order is free.  Otherwise the item pass, which drops every item
-        # but k and u, ends at the first element of tm - cm - u.
-        oracle, n = self.oracle, self.n
+        # parent of cm is cm | u, u = j or the first outer x above j meeting
+        # cm, so cm is a child iff tm - cm = {u}: of several parts none is,
+        # so their order is free.  Otherwise the item pass, which drops
+        # every item but k and u, ends at the first element of tm - cm - u.
         low, ym = tm & -tm, self._slice_mask(k)
         rest = tm & -(2 << k)
         while rest:
@@ -75,24 +73,25 @@ class ReducedInstance(Instance):
             if tm == jbit:
                 continue
             stats.l2_calls += 1  # l2(tm - j), answered from the cuts
-            parts = cuts.get(jbit.bit_length() - 1, ())
+            j = jbit.bit_length() - 1
+            parts = cuts.get(j, ())
             if jbit == low and parts:
                 cands: Sequence[int] = parts
             else:
                 cut = sum(parts)  # the parts are disjoint
                 cands = () if cut & (jbit - 1) else (tm ^ jbit ^ cut,)
             for cm in cands:
-                w = oracle._neighbours(n, cm, ym)
-                if not w:
-                    raise ContractError(f"_neighbours answered {w!r} inside a component; "
-                                        "a backend that answers _cut_parts must answer it")
-                u = 1 << (w.bit_length() - 1)
-                items = ym & ~cm
-                miss = tm & ~cm & ~u
+                miss = tm & ~cm & ~jbit
+                for x, attach in outer:
+                    if x < j:
+                        break
+                    if attach & cm:  # u = x lies outside tm, so j is missed too
+                        miss |= jbit
+                        break
                 if miss:
-                    stats.l1_calls += (items & ((miss & -miss) * 2 - 1)).bit_count()
+                    stats.l1_calls += (ym & ~cm & ((miss & -miss) * 2 - 1)).bit_count()
                 else:
-                    stats.l1_calls += items.bit_count() + 2
+                    stats.l1_calls += (ym & ~cm).bit_count() + 2
                     yield cm
 
 

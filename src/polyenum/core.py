@@ -13,7 +13,7 @@ safe to share read-only across threads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class ContractError(ValueError):
@@ -202,16 +202,18 @@ class SetSystemOracle:
         """``l2`` on masks over ``[1, n]``, in the same order."""
         return [_answer_mask(n, c, "l2") for c in self.l2(IdSet._from_mask(n, ym))]
 
-    def _cut_parts(self, n: int, tm: int) -> Optional[Dict[int, List[int]]]:
-        """The parts each cut vertex of the component ``tm`` cuts off, or ``None``.
+    def _cut_parts(self, n: int,
+                   tm: int) -> Optional[Tuple[Dict[int, List[int]], List[Tuple[int, int]]]]:
+        """The cut parts and the outer neighbours of the component ``tm``, or ``None``.
 
         The components-mode child scan asks it once per node ``tm`` and then
-        asks no ``l2``.  An answer maps each ``j`` that splits ``tm`` to the
-        components of ``tm - j`` not holding ``min(tm)``, and ``min(tm)`` to
-        every component of ``tm - min(tm)``; a ``j`` left out, ``min(tm)``
-        too, cuts off nothing.  Only a backend that answers ``_neighbours``
-        may answer it: the scan asks that witness of each candidate.  The
-        default ``None`` leaves one ``_l2_masks(n, tm - j)`` query per
+        asks no ``l2``.  An answer ``(cuts, outer)`` maps each ``j`` that
+        splits ``tm`` to the components of ``tm - j`` not holding ``min(tm)``,
+        and ``min(tm)`` to every component of ``tm - min(tm)``; a ``j`` left
+        out, ``min(tm)`` too, cuts off nothing.  ``outer`` lists each ``x`` of
+        ``N(tm) - tm``, highest first, as ``(x, a)``, ``a`` its neighbours in
+        ``tm``: a component ``c`` of ``tm - j`` plus ``x`` is one iff ``a & c``.
+        The default ``None`` leaves one ``_l2_masks(n, tm - j)`` query per
         ``j``.  ``OracleStats`` counts one ``l2`` per ``j`` either way.
         """
         return None
@@ -243,15 +245,13 @@ class SetSystemOracle:
     def _neighbours(self, n: int, cm: int, ym: int) -> Optional[int]:
         """A witness for the maximality of the component ``cm``, or ``None``.
 
-        The parent test ``_Run._parent`` asks it once per call, and the
-        components-mode child scan once per candidate, with ``cm`` the
-        component asked about and ``ym`` the slice of its group's item,
+        The parent test ``_Run._parent`` asks it once per call, with ``cm``
+        the component asked about and ``ym`` the slice of its group's item,
         which holds ``cm``.  An answer ``w`` is a mask inside ``ym - cm``
         such that ``cm | b`` is a component for every bit ``b`` of ``w``,
         and ``cm`` is maximal within any ``y`` inside ``ym`` that holds
         ``cm`` exactly when ``not w & y``.  The parent test then answers
-        each maximality question with one AND, and the child scan takes
-        ``cm | max(w)`` as the parent of ``cm``.  The default answers
+        each maximality question with one AND.  The default answers
         ``None``, and the parent test asks ``_l1_mask(n, cm, y) == cm``
         for each ``y`` instead.  ``OracleStats`` counts the logical ``l1``
         calls the test stands for either way, and nothing for this call.

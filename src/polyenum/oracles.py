@@ -21,9 +21,9 @@ optional hooks, whose contracts :class:`SetSystemOracle` states, the
 graph backend overrides both and the explicit backend neither:
 
 * ``_neighbours``: the component's neighbours in the hull, one walk, which
-  answers each maximality question with one AND;
+  answers each of the parent test's maximality questions with one AND;
 * ``_cut_parts``: one depth-first sweep, which lists the parts each cut
-  vertex cuts off, so the ``--components`` child scan asks no ``l2``.
+  vertex cuts off and the outer neighbours: the child scan's one hook.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class GraphConnectivityOracle(_MaskBackend):
     hull costs one AND.  ``l1`` answers the least component between ``x``
     and ``y``: every connected set between them lies in the one it sweeps.
     ``_cut_parts`` runs one depth-first sweep of a component and lists
-    the parts each of its cut vertices cuts off.
+    the parts each of its cut vertices cuts off, and its outer neighbours.
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
@@ -320,7 +320,7 @@ class GraphConnectivityOracle(_MaskBackend):
         # disjoint, so this is already sorted by subset_lex_less.
         return comps
 
-    def _cut_parts(self, n: int, tm: int) -> Dict[int, List[int]]:
+    def _cut_parts(self, n: int, tm: int) -> Tuple[Dict[int, List[int]], List[Tuple[int, int]]]:
         # tm is a component, so one depth-first sweep from its least vertex
         # reaches all of it.  Each stack entry is a vertex on the tree path,
         # the vertices seen before it (its subtree is what has been seen
@@ -329,7 +329,7 @@ class GraphConnectivityOracle(_MaskBackend):
         # its parent p only p's ancestors, all seen before p, can touch the
         # subtree: it is a component of tm - p exactly when its rows miss
         # what was seen before p, as every subtree of the root does.  The
-        # parts take O(|tm|) memory together.
+        # root ends with reach = N(tm).  The parts take O(|tm|) memory together.
         adj = self._adj
         root = (tm & -tm).bit_length() - 1
         cuts: Dict[int, List[int]] = {}
@@ -350,7 +350,8 @@ class GraphConnectivityOracle(_MaskBackend):
                 if not reach & above:
                     cuts.setdefault(p, []).append(seen & ~before)
                 stack[-1] = (p, above, prow | reach)
-        return cuts
+        out = IdSet._from_mask(n, reach & ~tm)
+        return cuts, [(x, adj[x] & tm) for x in sorted(out, reverse=True)]
 
     def delta_hint(self) -> int:
         return self.n

@@ -204,13 +204,13 @@ class TestEnumerateComponents:
 
 
 class TestWitnessParity:
-    """The graph backend's witness and the public-only default, past 12 vertices.
+    """The graph backend's hooks and the public-only default, past 12 vertices.
 
     Through the graph backend every child scan of a components run is
-    answered in closed form from ``_cut_parts`` and the ``_neighbours``
-    witness, and the public ``parent`` asks that witness; through
-    ``PublicOnly`` over the same graph each of their queries is asked.
-    Both must give the same records and the same counts.
+    answered in closed form from ``_cut_parts`` alone, and the public
+    ``parent`` asks the ``_neighbours`` witness; through ``PublicOnly``
+    over the same graph each of their queries is asked.  Both must give
+    the same records and the same counts.
     """
 
     KINDS = [(kind, seed) for kind in ("tree", "caterpillar", "cycle", "sparse", "star")
