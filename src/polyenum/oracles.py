@@ -20,8 +20,9 @@ and one ``_l1_growth``, one ``l1`` per element pass.  Of the other
 optional hooks, whose contracts :class:`SetSystemOracle` states, the
 graph backend overrides both and the explicit backend neither:
 
-* ``_neighbours``: the component's neighbours in the hull, one walk, which
-  answers each of the parent test's maximality questions with one AND;
+* ``_neighbours``: the component's neighbours in the hull, one ``_reach``
+  (the OR of a mask's adjacency rows, as in each breadth-first level),
+  which answers each of the parent test's maximality questions with one AND;
 * ``_cut_parts``: one depth-first sweep, which lists the parts each cut
   vertex cuts off and the outer neighbours: the child scan's one hook.
 """
@@ -217,14 +218,16 @@ class GraphConnectivityOracle(_MaskBackend):
     constructor rejects a self-loop and an edge given twice, in either
     orientation.  Connectivity queries run an iterative breadth-first
     sweep restricted to the queried vertex set, entirely on bitmasks, so
-    no recursion depth is involved however large the graph gets.
+    no recursion depth is involved however large the graph gets; each
+    level is one ``_reach``, the OR of its vertices' adjacency rows.
     ``l1`` remembers the last component it swept and its hull, and a
     query inside that component on that hull reuses it.  The maximality
     witness runs no sweep: a connected set is maximal within ``y`` exactly
     when no vertex of ``y`` outside it is adjacent to it, so the witness is
-    the set's neighbours inside the outer hull, and each ``y`` inside that
-    hull costs one AND.  ``l1`` answers the least component between ``x``
-    and ``y``: every connected set between them lies in the one it sweeps.
+    the set's ``_reach`` inside the outer hull, less the set, and each
+    ``y`` inside that hull costs one AND.  ``l1`` answers the least
+    component between ``x`` and ``y``: every connected set between them
+    lies in the one it sweeps.
     ``_cut_parts`` runs one depth-first sweep of a component and lists
     the parts each of its cut vertices cuts off, and its outer neighbours.
     """
@@ -260,18 +263,21 @@ class GraphConnectivityOracle(_MaskBackend):
             for v in range(1, self.n + 1)
         }
 
+    def _reach(self, m: int) -> int:
+        adj = self._adj
+        reach = 0
+        while m:
+            lsb = m & -m
+            reach |= adj[lsb.bit_length() - 1]
+            m ^= lsb
+        return reach
+
     def _component_mask(self, seed: int, ymask: int) -> int:
         comp = 0
         frontier = 1 << seed
         while frontier:
             comp |= frontier
-            reach = 0
-            m = frontier
-            while m:
-                lsb = m & -m
-                reach |= self._adj[lsb.bit_length() - 1]
-                m ^= lsb
-            frontier = reach & ymask & ~comp
+            frontier = self._reach(frontier) & ymask & ~comp
         return comp
 
     def _l1_mask(self, n: int, xm: int, ym: int) -> Optional[int]:
@@ -286,27 +292,8 @@ class GraphConnectivityOracle(_MaskBackend):
 
     def _neighbours(self, n: int, cm: int, ym: int) -> Optional[int]:
         # cm is connected, so it is maximal within y iff no vertex of y - cm
-        # is adjacent to it, and adding one such vertex keeps it connected:
-        # the witness is the neighbours of cm in ym - cm, found walking the
-        # smaller side.
-        out = ym & ~cm
-        adj = self._adj
-        nbr = 0
-        if out.bit_count() < cm.bit_count():
-            walk = out
-            while walk:
-                lsb = walk & -walk
-                if adj[lsb.bit_length() - 1] & cm:
-                    nbr |= lsb
-                walk ^= lsb
-        else:
-            walk = cm
-            while walk:
-                lsb = walk & -walk
-                nbr |= adj[lsb.bit_length() - 1]
-                walk ^= lsb
-            nbr &= out
-        return nbr
+        # is adjacent to it, and adding one such vertex keeps it connected.
+        return self._reach(cm) & ym & ~cm
 
     def _l2_masks(self, n: int, ym: int) -> List[int]:
         comps: List[int] = []
@@ -350,8 +337,12 @@ class GraphConnectivityOracle(_MaskBackend):
                 if not reach & above:
                     cuts.setdefault(p, []).append(seen & ~before)
                 stack[-1] = (p, above, prow | reach)
-        out = IdSet._from_mask(n, reach & ~tm)
-        return cuts, [(x, adj[x] & tm) for x in sorted(out, reverse=True)]
+        outer, out = [], reach & ~tm
+        while out:
+            x = out.bit_length() - 1
+            outer.append((x, adj[x] & tm))
+            out ^= 1 << x
+        return cuts, outer
 
     def delta_hint(self) -> int:
         return self.n

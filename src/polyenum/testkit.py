@@ -50,14 +50,10 @@ def materialize_components(oracle, n: int) -> List[IdSet]:
             raise ContractError(
                 f"graph too large to materialize: {n} > {MATERIALIZE_BOUND} vertices"
             )
-        adj = [0] * (n + 1)
-        for v, nbrs in oracle.adjacency.items():
-            for u in nbrs:
-                adj[v] |= 1 << u
         out = []
         for m in range(1, 1 << n):
             mask = m << 1
-            if _mask_connected(adj, mask):
+            if _mask_connected(oracle._adj, mask):
                 out.append(IdSet._from_mask(n, mask))
         return out
     raise ContractError(f"cannot materialize components of {type(oracle).__name__}")

@@ -247,14 +247,34 @@ def reference_algebra(sigma_rows, n, q):
     return common, hull, slice_
 
 
+def once(sink):
+    """``sink`` behind a guard that raises at the first record emitted twice.
+
+    A run emits each record once.  A wrong child scan gives a node more
+    than one parent, so the traversal repeats whole subtrees; the guard
+    stops it at the first repeat instead of collecting without bound.
+    """
+    seen = set()
+
+    def guarded(s):
+        if s in seen:
+            raise AssertionError(f"{sorted(s.elements)} in group {s.k} emitted twice")
+        seen.add(s)
+        sink(s)
+
+    return guarded
+
+
 def rendered(run):
     """The CLI's ``--format json`` stream of ``run(sink, stats)``, and its stats.
 
     The stats come as the final counters plus the counters at each output,
-    which the sink reads as the solution arrives.
+    which the sink reads as the solution arrives; a record emitted twice
+    raises (:func:`once`).
     """
     lines, stats, at_outputs = [], OracleStats(), []
 
+    @once
     def sink(s):
         lines.append(cli._json_record(s) + "\n")
         at_outputs.append(

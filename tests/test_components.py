@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from conftest import connected_set_count, outcome, rendered, union_find_components
+from conftest import connected_set_count, once, outcome, rendered, union_find_components
 
 from polyenum import (
     ContractError,
@@ -30,7 +30,7 @@ def path_oracle(m):
 
 def collect_components(oracle, n, rho=None, stats=None):
     out = []
-    enumerate_components(oracle, n, rho=rho, sink=out.append, stats=stats)
+    enumerate_components(oracle, n, rho=rho, sink=once(out.append), stats=stats)
     return out
 
 
@@ -251,7 +251,7 @@ class TestWitnessParity:
         assert roots
         # Every fifth record of the run, roots included.
         records = []
-        enumerate_components(g, n, sink=records.append)
+        enumerate_components(g, n, sink=once(records.append))
         for s in records[::5]:
             assert outcome(parent, inst, s) == outcome(parent, plain, s)
 
@@ -292,10 +292,11 @@ class TestGroupBound:
             else:
                 inst = Instance(base.n, base.q, sigma, oracle)
             out, by_group = [], []
-            enumerate_all(inst, sink=out.append)
+            enumerate_all(inst, sink=once(out.append))
             bounded = list(oracle.log)
+            collect = once(by_group.append)
             for k in range(inst.q + 1):
-                enumerate_k(inst, k, sink=by_group.append)
+                enumerate_k(inst, k, sink=collect)
             every_group = oracle.log[len(bounded):]
             # The bound drops only groups that emit nothing: the stream is
             # the groups' streams in turn, and the queries a prefix of theirs.

@@ -41,6 +41,7 @@ from conftest import (
     graphs_and_hulls,
     graphs_hulls_and_parts,
     mask,
+    once,
     outcome,
     reference_l2,
     union_find_components,
@@ -239,7 +240,7 @@ def test_components_mode_matches_brute_force(case):
     n, edges, _ = case
     g = GraphConnectivityOracle(n, edges)
     got = []
-    enumerate_components(g, n, sink=got.append)
+    enumerate_components(g, n, sink=once(got.append))
     want = brute_force_solutions(ReducedInstance(n, g))
     assert len(got) == len(set(got))
     assert sorted(got, key=lambda s: (s.k, lex_sort_key(s.elements))) == want
@@ -265,13 +266,13 @@ def test_custom_backend_sees_the_same_l2_queries(graph, queries, digest):
     g = GraphConnectivityOracle(n, edges)
     logged = PublicOnly(g)
     stats, out = OracleStats(), []
-    enumerate_components(logged, n, sink=out.append, stats=stats)
+    enumerate_components(logged, n, sink=once(out.append), stats=stats)
     l2_log = [q[1] for q in logged.log if q[0] == "l2"]
     assert stats.l2_calls == len(l2_log) == queries
     assert hashlib.sha256(",".join(map(hex, l2_log)).encode()).hexdigest()[:16] == digest
     # The graph backend's own path emits the same records and counts.
     direct_stats, direct = OracleStats(), []
-    enumerate_components(g, n, sink=direct.append, stats=direct_stats)
+    enumerate_components(g, n, sink=once(direct.append), stats=direct_stats)
     assert direct == out
     assert direct_stats.as_dict() == stats.as_dict()
 
@@ -293,7 +294,7 @@ class RootLeftOut(GraphConnectivityOracle):
 def records_and_counts(oracle, n):
     """The records of a components run through ``oracle``, and its stats."""
     stats, out = OracleStats(), []
-    enumerate_components(oracle, n, sink=out.append, stats=stats)
+    enumerate_components(oracle, n, sink=once(out.append), stats=stats)
     return out, stats.as_dict()
 
 
@@ -335,5 +336,5 @@ def test_explicit_backend_takes_the_default_hook():
     assert o._cut_parts(3, mask(1, 2, 3)) is None
     assert direct_answers(o, 3, mask(1, 2, 3)) == [[mask(2, 3)], [mask(1), mask(3)], [mask(1, 2)]]
     got = []
-    enumerate_components(o, 3, sink=got.append)
+    enumerate_components(o, 3, sink=once(got.append))
     assert {s.elements for s in got} == {IdSet(3, c) for c in family}
