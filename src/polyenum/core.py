@@ -13,7 +13,7 @@ safe to share read-only across threads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class ContractError(ValueError):
@@ -178,9 +178,10 @@ class SetSystemOracle:
     components meets the ``l1`` precondition by construction.  The
     shipped backends answer on masks directly.
 
-    Three optional hooks, ``_neighbours``, ``_l1_growth`` and
-    ``_cut_parts``, each state their contract in their own docstring.
-    Both shipped backends override ``_l1_growth``, the graph backend all three.
+    Three optional hooks state their contract in their own docstrings:
+    the parent test's maximality predicate ``_maximal_in`` and element
+    pass ``_l1_growth``, and the child scan's ``_cut_parts``.  Both
+    shipped backends override ``_l1_growth``, the graph backend all three.
     """
 
     def l1(self, x: IdSet, y: IdSet) -> Optional[IdSet]:
@@ -242,21 +243,17 @@ class SetSystemOracle:
                 grown |= bit
                 yield bit
 
-    def _neighbours(self, n: int, cm: int, ym: int) -> Optional[int]:
-        """A witness for the maximality of the component ``cm``, or ``None``.
+    def _maximal_in(self, n: int, cm: int) -> Callable[[int], bool]:
+        """Whether the component ``cm`` is maximal within ``y``, as a predicate on ``y``.
 
-        The parent test ``_Run._parent`` asks it once per call, with ``cm``
-        the component asked about and ``ym`` the slice of its group's item,
-        which holds ``cm``.  An answer ``w`` is a mask inside ``ym - cm``
-        such that ``cm | b`` is a component for every bit ``b`` of ``w``,
-        and ``cm`` is maximal within any ``y`` inside ``ym`` that holds
-        ``cm`` exactly when ``not w & y``.  The parent test then answers
-        each maximality question with one AND.  The default answers
-        ``None``, and the parent test asks ``_l1_mask(n, cm, y) == cm``
-        for each ``y`` instead.  ``OracleStats`` counts the logical ``l1``
-        calls the test stands for either way, and nothing for this call.
+        The parent test ``_Run._parent`` asks for it once per call, about
+        the component ``cm``, and calls it on a candidate's solution hull
+        and on each trial hull of its item pass: hulls that hold ``cm``
+        inside the slice of its group's item.  The default asks
+        ``_l1_mask(n, cm, y) == cm`` at each call, and nothing before.
+        ``OracleStats`` counts one ``l1`` per call, and nothing for this one.
         """
-        return None
+        return lambda y: self._l1_mask(n, cm, y) == cm
 
 
 class VolumeFunction:

@@ -129,19 +129,12 @@ class _Run:
         exactly when the result equals ``target``.  The answer is 0 as soon
         as a step rules that out, which is what makes the child test cheap:
         most candidates fail within a few oracle calls.  Both questions
-        ask whether ``sm`` is maximal within hulls inside ``slice(k)``: one
-        AND each against the backend's witness, or one ``l1`` each without
-        one.
+        ask whether ``sm`` is maximal within hulls inside ``slice(k)``, each
+        answered by the backend's ``_maximal_in`` predicate for ``sm``.
         """
-        inst, oracle, n = self.inst, self.oracle, self.n
+        inst = self.inst
         hull = inst._slice_mask(k)
-        w = oracle._neighbours(n, sm, hull)
-        if w is None:
-            def maximal_in(y: int) -> bool:
-                return oracle._l1_mask(n, sm, y) == sm
-        else:
-            def maximal_in(y: int) -> bool:
-                return not w & y
+        maximal_in = self.oracle._maximal_in(self.n, sm)
         # The solution test: sm is a solution iff it is maximal within the
         # hull of its items, which lies inside slice(k) and holds sm.  A
         # hull that is sm itself, as every hull is in components mode, asks

@@ -20,16 +20,16 @@ and one ``_l1_growth``, one ``l1`` per element pass.  Of the other
 optional hooks, whose contracts :class:`SetSystemOracle` states, the
 graph backend overrides both and the explicit backend neither:
 
-* ``_neighbours``: the component's neighbours in the hull, one ``_reach``
-  (the OR of a mask's adjacency rows, as in each breadth-first level),
-  which answers each of the parent test's maximality questions with one AND;
+* ``_maximal_in``: the component's neighbours, one ``_reach`` (the OR of
+  a mask's adjacency rows, as in each breadth-first level), which answers
+  each of the parent test's maximality questions with one AND;
 * ``_cut_parts``: one depth-first sweep, which lists the parts each cut
   vertex cuts off and the outer neighbours: the child scan's one hook.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import ContractError, IdSet, SetSystemOracle, lex_sort_key
 
@@ -222,12 +222,11 @@ class GraphConnectivityOracle(_MaskBackend):
     level is one ``_reach``, the OR of its vertices' adjacency rows.
     ``l1`` remembers the last component it swept and its hull, and a
     query inside that component on that hull reuses it.  The maximality
-    witness runs no sweep: a connected set is maximal within ``y`` exactly
-    when no vertex of ``y`` outside it is adjacent to it, so the witness is
-    the set's ``_reach`` inside the outer hull, less the set, and each
-    ``y`` inside that hull costs one AND.  ``l1`` answers the least
-    component between ``x`` and ``y``: every connected set between them
-    lies in the one it sweeps.
+    predicate runs no sweep: a connected set is maximal within ``y``
+    exactly when no vertex of ``y`` outside it is adjacent to it, so it
+    takes the set's ``_reach`` less the set once, and each ``y`` costs one
+    AND.  ``l1`` answers the least component between ``x`` and ``y``:
+    every connected set between them lies in the one it sweeps.
     ``_cut_parts`` runs one depth-first sweep of a component and lists
     the parts each of its cut vertices cuts off, and its outer neighbours.
     """
@@ -290,10 +289,10 @@ class GraphConnectivityOracle(_MaskBackend):
             return None
         return comp
 
-    def _neighbours(self, n: int, cm: int, ym: int) -> Optional[int]:
-        # cm is connected, so it is maximal within y iff no vertex of y - cm
-        # is adjacent to it, and adding one such vertex keeps it connected.
-        return self._reach(cm) & ym & ~cm
+    def _maximal_in(self, n: int, cm: int) -> Callable[[int], bool]:
+        # cm is connected: it is maximal within y iff y holds none of w.
+        w = self._reach(cm) & ~cm
+        return lambda y: not w & y
 
     def _l2_masks(self, n: int, ym: int) -> List[int]:
         comps: List[int] = []

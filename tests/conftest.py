@@ -108,27 +108,6 @@ def graphs_hulls_and_parts(draw):
     return n, edges, ym, part
 
 
-def maximal_in(oracle, n, cm, ym):
-    """``y`` to whether the component ``cm`` is maximal within ``y``, as the parent test asks.
-
-    For the ``y`` inside ``ym`` that hold ``cm``: one AND against the
-    backend's ``_neighbours`` witness, or ``_l1_mask(n, cm, y) == cm``
-    when it gives none.  A witness is first held to the rest of its
-    contract: it lies inside ``ym - cm``, and ``cm`` with any one of its
-    elements added is a component.
-    """
-    w = oracle._neighbours(n, cm, ym)
-    if w is None:
-        return lambda y: oracle._l1_mask(n, cm, y) == cm
-    assert not w & ~(ym & ~cm), (cm, ym, w)
-    rest = w
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        assert oracle._l1_mask(n, cm | bit, cm | bit) == cm | bit, (cm, bit)
-    return lambda y: not w & y
-
-
 def outcome(ask, inst, s):
     """``ask(inst, s, stats)`` and the stats, or the error it raised."""
     stats = OracleStats()

@@ -208,7 +208,7 @@ class TestWitnessParity:
 
     Through the graph backend every child scan of a components run is
     answered in closed form from ``_cut_parts`` alone, and the public
-    ``parent`` asks the ``_neighbours`` witness; through ``PublicOnly``
+    ``parent`` asks the ``_maximal_in`` predicate; through ``PublicOnly``
     over the same graph each of their queries is asked.  Both must give
     the same records and the same counts.
     """
@@ -237,8 +237,8 @@ class TestWitnessParity:
         n, edges = sparse_graph(kind, seed)
         g = GraphConnectivityOracle(n, edges)
         inst, plain = ReducedInstance(n, g), ReducedInstance(n, PublicOnly(g))
-        # The roots of groups 1-3 have a zero witness: parent() raises the
-        # same error after the same counted queries either way.
+        # The roots of groups 1-3 have no neighbour in their slice: parent()
+        # raises the same error after the same counted queries either way.
         roots = 0
         for k in (1, 2, 3):
             for cm in g._l2_masks(n, inst._slice_mask(k)):

@@ -314,16 +314,16 @@ def test_an_absent_root_entry_cuts_off_nothing(graph):
 
 
 class NoWitness(GraphConnectivityOracle):
-    """The graph backend with a ``_neighbours`` that raises when asked."""
+    """The graph backend with a ``_maximal_in`` that raises when asked."""
 
-    def _neighbours(self, n, cm, ym):
-        raise AssertionError("the closed-form child scan asked for a witness")
+    def _maximal_in(self, n, cm):
+        raise AssertionError("the closed-form child scan asked for a maximality predicate")
 
 
 @GRAPHS
 def test_the_closed_form_scan_asks_no_witness(graph):
     # Each candidate's parent is read off the cut parts and the outer
-    # neighbours, so a run never asks _neighbours and still gives the
+    # neighbours, so a run never asks _maximal_in and still gives the
     # graph backend's records and counts.
     n, edges = graph
     got = records_and_counts(NoWitness(n, edges), n)

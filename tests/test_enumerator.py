@@ -66,14 +66,14 @@ class TestIsSolution:
     def test_non_component_is_not_a_solution(self):
         # {1, 3} is disconnected on the path 1-2-3 and fills its own hull
         # (the elements carrying item 1), so no vertex of the hull lies
-        # outside it: the backend's neighbour test, which holds for
+        # outside it: the backend's maximality predicate, which holds for
         # components only, says "maximal".  The public test must still
         # say no, as documented for a non-component.
         oracle = GraphConnectivityOracle(3, [(1, 2), (2, 3)])
         inst = Instance(3, 2, [[1], [2], [1]], oracle)
         x = IdSet(3, [1, 3])
         h = inst._hull_mask(2)
-        assert not oracle._neighbours(3, x._mask, h) & h
+        assert oracle._maximal_in(3, x._mask)(h)
         stats = OracleStats()
         assert not is_solution(inst, x, stats)
         assert stats.l1_calls == 1

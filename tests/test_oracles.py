@@ -24,7 +24,6 @@ from polyenum.testkit import RandomSpec, materialize_components, random_instance
 from conftest import (
     families_and_queries,
     graphs_and_hulls,
-    maximal_in,
     reference_l1,
     reference_l2,
     union_find_components,
@@ -394,7 +393,7 @@ def test_explicit_bitmap_index_matches_reference(case):
         assert oracle._l2_masks(n, ym) == [c._mask for c in maximal]
         for c in family:
             if c.issubset(y):
-                assert maximal_in(oracle, n, c._mask, ym)(ym) == (c in maximal)
+                assert oracle._maximal_in(n, c._mask)(ym) == (c in maximal)
         xm &= ym
         if xm:
             z = reference_l1(family, IdSet._from_mask(n, xm), y)
@@ -471,6 +470,19 @@ def test_one_member_over_a_large_universe_walks_its_support():
     assert peak < 4 * 2**20, peak
 
 
+def test_one_large_member_walks_bits_when_few_are_left_out():
+    # Each l2 of the components run on the one member [1, 2000] leaves out
+    # at most one element of the support: a walk of one bit, against 251
+    # bytes.  A walk that always read bytes builds all 251 chunk tables.
+    n = 2000
+    stats, out = OracleStats(), []
+    oracle = ExplicitFamilyOracle(n, [range(1, n + 1)])
+    enumerate_components(oracle, n, sink=out.append, stats=stats)
+    assert [list(s.elements) for s in out] == [list(range(1, n + 1))]
+    assert stats.l2_calls == 2001
+    assert oracle._tables == [None] * 251
+
+
 @st.composite
 def graph_queries(draw):
     """``graphs_and_hulls``, plus ``l1`` lower bounds and two probe parts."""
@@ -506,4 +518,4 @@ def test_graph_answers_match_union_find(case):
     # The probe is asked about components only: those of a part of the hull.
     for h, part in zip(hulls, parts):
         for cm in union_find_components(edges, h & part):
-            assert maximal_in(g, n, cm, h)(h) == (cm in want[h])
+            assert g._maximal_in(n, cm)(h) == (cm in want[h])

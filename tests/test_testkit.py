@@ -91,7 +91,7 @@ def test_max_interoutput_traversals_conventions():
 
 class TestPublicOnly:
     def test_every_mask_hook_is_the_default(self):
-        for hook in ("_l1_mask", "_l2_masks", "_neighbours", "_l1_growth", "_cut_parts"):
+        for hook in ("_l1_mask", "_l2_masks", "_maximal_in", "_l1_growth", "_cut_parts"):
             assert getattr(PublicOnly, hook) is getattr(SetSystemOracle, hook)
         assert not hasattr(PublicOnly(GraphConnectivityOracle(3)), "n")
 
