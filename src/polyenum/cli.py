@@ -70,13 +70,16 @@ def _require_count(doc: dict, key: str) -> int:
     return value
 
 
-def _int_list(raw, where: str) -> List[int]:
-    """``raw`` if it is a JSON list of integers; the constructors check the ids."""
+def _int_lists(raw, field: str, holds: str) -> List[List[int]]:
+    """``raw`` if it is a JSON list of integer lists; the constructors check the ids."""
     if not isinstance(raw, list):
-        raise InstanceFormatError(f"{where}: expected a list of integers")
-    for x in raw:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise InstanceFormatError(f"{where}: expected integers, got {x!r}")
+        raise InstanceFormatError(f"{field}: expected a list of {holds}")
+    for idx, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise InstanceFormatError(f"{field}[{idx}]: expected a list of integers")
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InstanceFormatError(f"{field}[{idx}]: expected integers, got {x!r}")
     return raw
 
 
@@ -93,33 +96,25 @@ def _construct(field: str, arg: str, build, *args):
         raise InstanceFormatError(msg) from exc
 
 
+# system.kind -> the document key of its list, what the list holds, the
+# constructor argument that the constructor's messages name, the constructor
+_KINDS = {
+    "graph": ("edges", "[u, v] pairs", "edges", GraphConnectivityOracle),
+    "explicit": ("components", "element-id lists", "family", ExplicitFamilyOracle),
+}
+
+
 def _build_oracle(doc: dict, n: int):
     system = doc.get("system")
     if not isinstance(system, dict):
         raise InstanceFormatError("system: expected an object")
     kind = system.get("kind")
-    if kind == "graph":
-        raw_edges = system.get("edges")
-        if not isinstance(raw_edges, list):
-            raise InstanceFormatError("system.edges: expected a list of [u, v] pairs")
-        edges = [
-            _int_list(pair, f"system.edges[{idx}]") for idx, pair in enumerate(raw_edges)
-        ]
-        return _construct("system.edges", "edges", GraphConnectivityOracle, n, edges)
-    if kind == "explicit":
-        raw_family = system.get("components")
-        if not isinstance(raw_family, list):
-            raise InstanceFormatError(
-                "system.components: expected a list of element-id lists"
-            )
-        family = [
-            _int_list(raw, f"system.components[{idx}]")
-            for idx, raw in enumerate(raw_family)
-        ]
-        return _construct(
-            "system.components", "family", ExplicitFamilyOracle, n, family
-        )
-    raise InstanceFormatError(f"system.kind: expected 'graph' or 'explicit', got {kind!r}")
+    # only a str is looked up: a list or dict kind is unhashable
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InstanceFormatError(f"system.kind: expected 'graph' or 'explicit', got {kind!r}")
+    key, holds, arg, build = _KINDS[kind]
+    field = f"system.{key}"
+    return _construct(field, arg, build, n, _int_lists(system.get(key), field, holds))
 
 
 def _build_instance(doc: dict, components: bool) -> Instance:
@@ -129,12 +124,10 @@ def _build_instance(doc: dict, components: bool) -> Instance:
         return ReducedInstance(n, _build_oracle(doc, n))
     q = _require_count(doc, "items")
     raw_sigma = doc.get("sigma")
-    if not isinstance(raw_sigma, list):
-        raise InstanceFormatError("sigma: expected a list of item-id lists")
-    if len(raw_sigma) != n:
+    if isinstance(raw_sigma, list) and len(raw_sigma) != n:
         # Checked before the oracle, whose tables take memory in n, is built.
         raise InstanceFormatError(f"sigma must have {n} rows, got {len(raw_sigma)}")
-    sigma = [_int_list(row, f"sigma[{idx}]") for idx, row in enumerate(raw_sigma)]
+    sigma = _int_lists(raw_sigma, "sigma", "item-id lists")
     return _construct("sigma", "sigma", Instance, n, q, sigma, _build_oracle(doc, n))
 
 

@@ -310,14 +310,8 @@ class OracleStats:
         self.outputs += 1
 
     def as_dict(self) -> dict:
-        return {
-            "l1_calls": self.l1_calls,
-            "l2_calls": self.l2_calls,
-            "rho_calls": self.rho_calls,
-            "traversal_calls": self.traversal_calls,
-            "outputs": self.outputs,
-            "max_interoutput_traversals": self.max_interoutput_traversals,
-        }
+        """The public counters, in the order ``__init__`` sets them."""
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
 
 def check_universe(n: int, oracle: SetSystemOracle) -> None:

@@ -17,6 +17,17 @@ from polyenum.enumerator import Solution
 from conftest import P3_DOC, P3_GOLDEN, invoke, write_doc
 
 
+DOCS = Path(__file__).parents[1] / "docs"
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(polyenum.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestParseInstance:
     def test_p3_round_trip(self, tmp_path, p3):
         inst = parse_instance(write_doc(tmp_path, P3_DOC))
@@ -297,14 +308,23 @@ class TestRun:
             ({**P3_DOC, "system": {"kind": "graph", "edges": [[1, 2.5]]}}, [],
              "error: system.edges[0]: expected integers, got 2.5\n"),
             (P3_DOC, ["--min-size", "-1"], "error: --min-size must be non-negative\n"),
+            # a kind that is not a string is refused like any other
+            *[
+                ({**P3_DOC, "system": {"kind": kind}}, mode,
+                 f"error: system.kind: expected 'graph' or 'explicit', got {kind!r}\n")
+                for kind in (["graph"], {"graph": 1}, None, 1)
+                for mode in ([], ["--components"])
+            ],
         ],
         ids=["top-level", "system", "edges", "components", "sigma", "sigma-row", "true",
-             "float", "min-size"],
+             "float", "min-size",
+             *(f"kind-{kind}{mode}" for kind in ("list", "dict", "null", "int")
+               for mode in ("", "-components"))],
     )
     def test_input_shape_errors_exit_2(self, tmp_path, doc, args, line):
         path = write_doc(tmp_path, doc)
         code, out, err = invoke(["--input", path, *args])
-        assert (code, out, err) == (2, "", line.format(path=path))
+        assert (code, out, err) == (2, "", line.replace("{path}", path))
 
     def test_verify_reports_sets_never_emitted(self, tmp_path, monkeypatch):
         real = testkit.brute_force_solutions
@@ -350,7 +370,7 @@ class TestRun:
     def test_main_exits_with_the_run_code(self, monkeypatch, capsys, args, code):
         # main is the installed polyenum script: it reads sys.argv, prints
         # what run prints and exits with the code run returns.
-        argv = ["--input", str(Path(__file__).parents[1] / "docs" / args[0]), *args[1:]]
+        argv = ["--input", str(DOCS / args[0]), *args[1:]]
         out, err = io.StringIO(), io.StringIO()
         assert run(argv, out, err) == code
         monkeypatch.setattr(sys, "argv", ["polyenum", *argv])
@@ -452,13 +472,10 @@ class TestInterruptedOutput:
         n = 30
         doc = {"elements": n, "system": {"kind": "graph",
                                          "edges": [[v, v % n + 1] for v in range(1, n + 1)]}}
-        src = str(Path(polyenum.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "polyenum.cli", "--input", write_doc(tmp_path, doc),
              "--components", "--format", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
         )
         try:
             first = json.loads(proc.stdout.readline())
@@ -476,16 +493,113 @@ class TestInterruptedOutput:
 def test_cli_start_skips_dataclasses_and_testkit():
     # Every CLI start pays for what importing polyenum.cli loads: dataclasses
     # pulls in inspect and ast, and testkit is needed only under --verify.
-    src = str(Path(polyenum.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys; before = set(sys.modules); import polyenum.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+                          env=src_env(), timeout=60, check=True)
     loaded = proc.stdout.split()
     assert "polyenum.cli" in loaded
     assert "dataclasses" not in loaded
     assert "polyenum.testkit" not in loaded
+
+
+def path_doc(n, **fields):
+    return {"elements": n, **fields,
+            "system": {"kind": "graph", "edges": [[v, v + 1] for v in range(1, n)]}}
+
+
+def cycle_doc(n):
+    return {"elements": n,
+            "system": {"kind": "graph", "edges": [[v, v % n + 1] for v in range(1, n + 1)]}}
+
+
+TOO_LARGE = "error: /dev/stdin: instance too large to build"
+
+
+def end_to_end(name, doc, flags, code, records, line=None, limit=60):
+    """One CLI run: a file under docs/ or a document piped to stdin, its
+    flags, exit code, stdout record count, a line stderr must hold (None
+    for an empty stderr) and a time limit in seconds."""
+    return pytest.param(doc, flags, code, records, line, limit, id=name)
+
+
+END_TO_END = [
+    end_to_end("p3", "p3.json", ["--verify"], 0, 4, "verify: ok (4 records)"),
+    end_to_end("p3-components", "p3.json", ["--components", "--verify"], 0, 6,
+               "verify: ok (6 records)"),
+    end_to_end("p3-k1", "p3.json", ["--k", "1", "--verify"], 0, 2, "verify: ok (2 records)"),
+    end_to_end("p3-components-k1", "p3.json", ["--components", "--k", "1", "--verify"], 0, 3,
+               "verify: ok (3 records)"),
+    end_to_end("p3-min-size1", "p3.json", ["--min-size", "1", "--verify"], 0, 3,
+               "verify: ok (3 records)"),
+    end_to_end("p3-components-min-size1", "p3.json",
+               ["--components", "--min-size", "1", "--verify"], 0, 3, "verify: ok (3 records)"),
+    # an element count too large to build is an input error
+    end_to_end("elements-2^62", {"elements": 2**62, "items": 1, "sigma": [],
+                                  "system": {"kind": "graph", "edges": []}},
+               [], 2, 0, TOO_LARGE),
+    # one size rule for both counts in both modes, past 2**63 too
+    end_to_end("elements-2^64-components",
+               {"elements": 2**64, "system": {"kind": "graph", "edges": []}},
+               ["--components"], 2, 0, TOO_LARGE),
+    end_to_end("items-2^64", {**P3_DOC, "items": 2**64}, [], 2, 0, TOO_LARGE),
+    # items no element carries cost no time
+    end_to_end("items-10^7", {**P3_DOC, "items": 10**7}, [], 0, 4, limit=20),
+    # groups that cannot emit are never asked: 2,000 isolated vertices take
+    # 3 l2 queries, not 2,001
+    end_to_end("isolated2000-components",
+               {"elements": 2000, "system": {"kind": "graph", "edges": []}},
+               ["--components"], 0, 2000, limit=10),
+    # the explicit backend walks only the elements some member holds
+    end_to_end("explicit-one-member-over-10^5-components",
+               {"elements": 10**5, "system": {"kind": "explicit", "components": [[1]]}},
+               ["--components"], 0, 1, limit=10),
+    # the graph backend's closed-form child scan: n(n - 1) + 1 records
+    end_to_end("cycle40-components", cycle_doc(40), ["--components"], 0, 1561, limit=20),
+    # the scan's work per record grows with n: n(n + 1)/2 records
+    end_to_end("path120-components", path_doc(120), ["--components"], 0, 7260, limit=10),
+    # a path whose elements all carry items 1-3 asks groups 0 and 1 only
+    end_to_end("path3-items1-3", path_doc(3, items=3, sigma=[[1, 2, 3]] * 3),
+               ["--stats", "--verify"], 0, 1, "l2_calls=2"),
+    # the one record's walk grows faster than n (ROADMAP item 4); the limit
+    # catches it growing further
+    end_to_end("path10^4-item1", path_doc(10**4, items=1, sigma=[[1]] * 10**4),
+               ["--stats"], 0, 1, "l2_calls=2", limit=10),
+    end_to_end("bowtie-components", "bowtie.json", ["--components", "--verify"], 0, 58,
+               "verify: ok (58 records)"),
+    end_to_end("cycle12-components", "cycle12.json", ["--components", "--verify"], 0, 133,
+               "verify: ok (133 records)"),
+    # a 2x6 ladder: a cut-vertex sweep that does not carry each subtree's
+    # rows up to its parent misses records here
+    end_to_end("ladder12-components", "ladder12.json", ["--components", "--verify"], 0, 681,
+               "verify: ok (681 records)"),
+    end_to_end("p3_explicit", "p3_explicit.json", ["--verify"], 0, 4, "verify: ok (4 records)"),
+    end_to_end("p3_explicit-components", "p3_explicit.json", ["--components", "--verify"], 0, 4,
+               "verify: ok (4 records)"),
+    # a group id past n is an input error that enumerates nothing
+    end_to_end("cycle12-components-k13", "cycle12.json", ["--components", "--k", "13"], 2, 0,
+               "error: --k 13 outside [0, 12]"),
+]
+
+
+@pytest.mark.parametrize("doc, flags, code, records, line, limit", END_TO_END)
+def test_cli_end_to_end(doc, flags, code, records, line, limit):
+    # In a child process in dev mode with warnings as errors, at sizes the
+    # in-process tests do not reach; the limit fails a run that slows down.
+    if isinstance(doc, str):
+        source, stdin = str(DOCS / doc), None
+    else:
+        source, stdin = "/dev/stdin", json.dumps(doc)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "polyenum.cli", "--input", source,
+         *flags],
+        input=stdin, capture_output=True, text=True, env=src_env(), timeout=limit,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stdout.splitlines()) == records
+    if line is None:
+        assert proc.stderr == ""
+    else:
+        assert line in proc.stderr.splitlines()
