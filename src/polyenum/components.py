@@ -75,7 +75,7 @@ class ReducedInstance(Instance):
             stats.l2_calls += 1  # l2(tm - j), answered from the cuts
             j = jbit.bit_length() - 1
             parts = cuts.get(j, ())
-            if jbit == low and parts:
+            if jbit == low:
                 cands: Sequence[int] = parts
             else:
                 cut = sum(parts)  # the parts are disjoint

@@ -210,8 +210,8 @@ class SetSystemOracle:
         The components-mode child scan asks it once per node ``tm`` and then
         asks no ``l2``.  An answer ``(cuts, outer)`` maps each ``j`` that
         splits ``tm`` to the components of ``tm - j`` not holding ``min(tm)``,
-        and ``min(tm)`` to every component of ``tm - min(tm)``; a ``j`` left
-        out, ``min(tm)`` too, cuts off nothing.  ``outer`` lists each ``x`` of
+        and ``min(tm)`` to every component of ``tm - min(tm)``; any other
+        ``j`` left out cuts off nothing.  ``outer`` lists each ``x`` of
         ``N(tm) - tm``, highest first, as ``(x, a)``, ``a`` its neighbours in
         ``tm``: a component ``c`` of ``tm - j`` plus ``x`` is one iff ``a & c``.
         The default ``None`` leaves one ``_l2_masks(n, tm - j)`` query per

@@ -17,11 +17,12 @@ from polyenum import (
     IdSet,
     Instance,
     OracleStats,
+    ReducedInstance,
     subset_lex_less,
 )
 from polyenum import cli
 from polyenum.core import lex_sort_key
-from polyenum.testkit import RandomSpec
+from polyenum.testkit import PublicOnly, RandomSpec
 
 P3_SIGMA = [[1], [1, 2], [2]]
 P3_JSON = str(Path(__file__).parents[1] / "docs" / "p3.json")  # the p3 fixture's document
@@ -106,6 +107,32 @@ def graphs_hulls_and_parts(draw):
     n, edges, ym = draw(graphs_and_hulls())
     part = draw(st.integers(0, (1 << n) - 1)) << 1
     return n, edges, ym, part
+
+
+def drawn_components(n, edges, ym, part):
+    """``(hull, cm)`` for the hulls ``ym`` and ``[1, n]`` and each component
+    ``cm`` inside one: the hull's maximal ones, then those of ``hull & part``."""
+    g = GraphConnectivityOracle(n, edges)
+    return [(hull, cm) for hull in (ym, (1 << (n + 1)) - 2)
+            for cm in g._l2_masks(n, hull) + g._l2_masks(n, hull & part)]
+
+
+def public_twin(inst, wrap=PublicOnly):
+    """The same sigma rows, or the reduction, over ``wrap`` of a fresh backend.
+
+    The twin takes every hook's ``SetSystemOracle`` default, and its
+    ``oracle.log`` lists the queries a custom backend is asked.  The fresh
+    backend keeps the twin's queries out of the shipped backend's memo.
+    """
+    o, n = inst.oracle, inst.n
+    if isinstance(o, GraphConnectivityOracle):
+        fresh = GraphConnectivityOracle(
+            n, [(u, v) for u, nbrs in o.adjacency.items() for v in nbrs if u < v])
+    else:
+        fresh = ExplicitFamilyOracle(n, o.family)
+    if isinstance(inst, ReducedInstance):
+        return ReducedInstance(n, wrap(fresh))
+    return Instance(n, inst.q, [list(inst.sigma(v)) for v in range(1, n + 1)], wrap(fresh))
 
 
 def outcome(ask, inst, s):

@@ -1,8 +1,20 @@
+"""Components mode: the reduction, and every component listed once.
+
+``ReducedInstance`` makes every component a solution.  Runs are checked
+against the materialized family on graphs up to 12 vertices and against
+``conftest.connected_set_count`` on forests and cycles past that.
+``TestWitnessParity`` holds the graph backend's closed-form child scan
+and ``parent`` to the public-only twin on sparse graphs of 13 to 30
+vertices, and ``TestGroupBound`` checks that groups that cannot emit are
+never asked.
+"""
+
 import itertools
 import random
 
 import pytest
-from conftest import connected_set_count, once, outcome, rendered, union_find_components
+from conftest import (connected_set_count, once, outcome, public_twin, rendered,
+                      union_find_components)
 
 from polyenum import (
     ContractError,
@@ -21,7 +33,7 @@ from polyenum import (
     make_solution,
     parent,
 )
-from polyenum.testkit import PublicOnly, RandomSpec, materialize_components, random_instance
+from polyenum.testkit import RandomSpec, materialize_components, random_instance
 
 
 def path_oracle(m):
@@ -219,12 +231,12 @@ class TestWitnessParity:
     @pytest.mark.parametrize("kind, seed", KINDS)
     def test_same_stream_and_counts_as_the_public_only_backend(self, kind, seed, closed_form):
         n, edges = sparse_graph(kind, seed)
-        g = GraphConnectivityOracle(n, edges)
-        fast = rendered(lambda sink, stats: enumerate_components(g, n, sink=sink, stats=stats))
+        inst = ReducedInstance(n, GraphConnectivityOracle(n, edges))
+        fast = rendered(lambda sink, stats: enumerate_all(inst, sink=sink, stats=stats))
         assert closed_form and all(closed_form)
         del closed_form[:]
-        slow = rendered(lambda sink, stats: enumerate_components(
-            PublicOnly(g), n, sink=sink, stats=stats))
+        twin = public_twin(inst)
+        slow = rendered(lambda sink, stats: enumerate_all(twin, sink=sink, stats=stats))
         assert closed_form and not any(closed_form)
         assert fast == slow
         lines = fast[0].splitlines()
@@ -236,7 +248,8 @@ class TestWitnessParity:
     def test_parent_answers_and_errors_as_the_public_only_backend(self, kind, seed):
         n, edges = sparse_graph(kind, seed)
         g = GraphConnectivityOracle(n, edges)
-        inst, plain = ReducedInstance(n, g), ReducedInstance(n, PublicOnly(g))
+        inst = ReducedInstance(n, g)
+        plain = public_twin(inst)
         # The roots of groups 1-3 have no neighbour in their slice: parent()
         # raises the same error after the same counted queries either way.
         roots = 0
@@ -284,13 +297,10 @@ class TestGroupBound:
     def test_skipped_groups_emit_nothing(self, kind, seed):
         base = random_instance(RandomSpec(kind=kind, n_range=(1, 8), seed=seed,
                                           edge_prob=(0.15, 0.3, 0.5)[seed % 3]))
-        sigma = [list(base.sigma(v)) for v in range(1, base.n + 1)]
         for mode in ("components", "solutions"):
-            oracle = PublicOnly(base.oracle)
-            if mode == "components":
-                inst = ReducedInstance(base.n, oracle)
-            else:
-                inst = Instance(base.n, base.q, sigma, oracle)
+            inst = public_twin(ReducedInstance(base.n, base.oracle) if mode == "components"
+                               else base)
+            oracle = inst.oracle
             out, by_group = [], []
             enumerate_all(inst, sink=once(out.append))
             bounded = list(oracle.log)

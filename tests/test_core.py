@@ -1,3 +1,9 @@
+"""``IdSet``, the subset order and the instance's attribute algebra.
+
+The algebra's memory and build time must not follow the declared item
+count, and its queries must be antitone and adjoint on random instances.
+"""
+
 import itertools
 import random
 import tracemalloc

@@ -7,7 +7,10 @@ the parts each cut vertex of ``t`` cuts off and the outer neighbours of
 candidate's parent from that one answer; the graph backend does, from one
 depth-first sweep of ``t``.  Rebuilt from it, each ``l2(t - j)`` must be
 exactly what ``_l2_masks(n, t - j)`` gives, and the outer list exactly
-``N(t) - t``.  The explicit backend and a custom backend answer ``None``
+``N(t) - t``, on drawn graphs and, past the sizes drawn, on a 3,000-vertex
+path deeper than the recursion limit and on trees with chords.  A run
+whose ``_maximal_in`` raises must still give the graph backend's records
+and counts.  The explicit backend and a custom backend answer ``None``
 and take the generic scan, so the queries a custom backend sees are
 pinned.
 """
@@ -37,12 +40,14 @@ from conftest import (
     BOWTIE,
     STAR,
     SWAPPED,
+    drawn_components,
     families_and_queries,
     graphs_and_hulls,
     graphs_hulls_and_parts,
     mask,
     once,
     outcome,
+    public_twin,
     reference_l2,
     union_find_components,
 )
@@ -65,6 +70,13 @@ def brute_outer(edges, tm):
             if not tm >> a & 1 and tm >> b & 1:
                 attach[a] = attach.get(a, 0) | 1 << b
     return sorted(attach.items(), reverse=True)
+
+
+def records_and_counts(oracle, n):
+    """The records of a components run through ``oracle``, and its stats."""
+    stats, out = OracleStats(), []
+    enumerate_components(oracle, n, sink=once(out.append), stats=stats)
+    return out, stats.as_dict()
 
 
 def l2_without(oracle, n, tm):
@@ -139,7 +151,8 @@ class TestGraphHook:
         # before any scan asks the hook, so the outcome, a list or an
         # error, must not depend on the backend answering it.
         g = GraphConnectivityOracle(6, [(1, 2), (2, 3), (5, 6)])
-        inst, custom = ReducedInstance(6, g), ReducedInstance(6, PublicOnly(g))
+        inst = ReducedInstance(6, g)
+        custom = public_twin(inst)
         for r in range(2, 6):
             for ids in itertools.combinations(range(1, 7), r):
                 s = make_solution(inst, IdSet(6, ids))
@@ -157,21 +170,12 @@ class TestGraphHook:
 @example(case=(40, [(i, i + 1) for i in range(1, 40)], mask(*range(1, 41)), mask(20)))
 @example(case=CHORDED_PATH + (mask(*range(1, 7)), mask(3, 4, 5, 6)))
 def test_graph_hook_matches_l2_on_every_component(case):
-    n, edges, ym, part = case
+    n, edges = case[:2]
     g = GraphConnectivityOracle(n, edges)
     plain = PublicOnly(GraphConnectivityOracle(n, edges))
-    full = (1 << (n + 1)) - 2
-    for hull in (ym, full):
-        if not hull:
-            continue
-        # Components inside the hull: its maximal ones, and smaller ones.
-        seeds = g._l2_masks(n, hull)
-        if hull & part:
-            seeds += g._l2_masks(n, hull & part)
-        for tm in seeds:
-            assert without_answers(g, n, tm) == direct_answers(plain, n, tm)
-            assert g._cut_parts(n, tm)[1] == brute_outer(edges, tm)
-        assert plain._cut_parts(n, hull) is None
+    for _, tm in drawn_components(*case):
+        assert without_answers(g, n, tm) == direct_answers(plain, n, tm)
+        assert g._cut_parts(n, tm)[1] == brute_outer(edges, tm)
 
 
 def test_sweep_on_a_path_deeper_than_the_recursion_limit():
@@ -264,53 +268,17 @@ GNP11 = (11, [(1, 2), (1, 5), (1, 10), (1, 11), (2, 6), (2, 9), (3, 4), (3, 5), 
 def test_custom_backend_sees_the_same_l2_queries(graph, queries, digest):
     n, edges = graph
     g = GraphConnectivityOracle(n, edges)
-    logged = PublicOnly(g)
-    stats, out = OracleStats(), []
-    enumerate_components(logged, n, sink=once(out.append), stats=stats)
+    logged = public_twin(ReducedInstance(n, g)).oracle
+    got = records_and_counts(logged, n)
     l2_log = [q[1] for q in logged.log if q[0] == "l2"]
-    assert stats.l2_calls == len(l2_log) == queries
+    assert got[1]["l2_calls"] == len(l2_log) == queries
     assert hashlib.sha256(",".join(map(hex, l2_log)).encode()).hexdigest()[:16] == digest
     # The graph backend's own path emits the same records and counts.
-    direct_stats, direct = OracleStats(), []
-    enumerate_components(g, n, sink=once(direct.append), stats=direct_stats)
-    assert direct == out
-    assert direct_stats.as_dict() == stats.as_dict()
-
-
-class RootLeftOut(GraphConnectivityOracle):
-    """Leaves ``min(tm)``'s entry out of ``_cut_parts`` when it lists one part."""
-
-    dropped = 0
-
-    def _cut_parts(self, n, tm):
-        cuts, outer = super()._cut_parts(n, tm)
-        root = (tm & -tm).bit_length() - 1
-        if len(cuts.get(root, ())) == 1:
-            del cuts[root]
-            self.dropped += 1
-        return cuts, outer
-
-
-def records_and_counts(oracle, n):
-    """The records of a components run through ``oracle``, and its stats."""
-    stats, out = OracleStats(), []
-    enumerate_components(oracle, n, sink=once(out.append), stats=stats)
-    return out, stats.as_dict()
+    assert records_and_counts(g, n) == got
 
 
 GRAPHS = pytest.mark.parametrize("graph", [BOWTIE, STAR, SWAPPED, CYCLE10, GNP11],
                                  ids=["bowtie", "star", "swapped", "cycle10", "gnp11"])
-
-
-@GRAPHS
-def test_an_absent_root_entry_cuts_off_nothing(graph):
-    # min(tm) with one part leaves tm - min(tm) whole, exactly what an
-    # absent entry reads as, so leaving it out moves no record and no count.
-    n, edges = graph
-    left_out = RootLeftOut(n, edges)
-    got = records_and_counts(left_out, n)
-    assert left_out.dropped
-    assert got == records_and_counts(GraphConnectivityOracle(n, edges), n)
 
 
 class NoWitness(GraphConnectivityOracle):

@@ -1,3 +1,14 @@
+"""The solution test, ``parent``, ``children``, the traversal and its meters.
+
+Each building block is held to exhaustive search on small random
+instances, and ``parent`` to a from-scratch recomputation of the queries
+it asks.  On the 200 acceptance instances, in both modes, every ``l2``
+answer of the generic child scan outside the node's group gains an item
+below ``j``, so the scan's one ``j`` filter rejects it.
+``test_output_past_transitive_systems`` checks the output on families
+that are not transitive, with an ``l1`` that picks another maximal member.
+"""
+
 import gc
 import random
 import tracemalloc
@@ -25,6 +36,7 @@ from polyenum import (
     make_solution,
     parent,
 )
+from polyenum.core import lex_sort_key
 from polyenum.enumerator import _Run
 from polyenum.testkit import (
     PublicOnly,
@@ -36,7 +48,7 @@ from polyenum.testkit import (
     random_instance,
 )
 
-from conftest import ACCEPTANCE_SPECS, P3_SIGMA, elems, items, once
+from conftest import ACCEPTANCE_SPECS, P3_SIGMA, elems, items, once, public_twin
 
 
 def run_all(inst, rho=None):
@@ -132,25 +144,6 @@ class TestParent:
             assert is_solution(inst, got.elements)
 
 
-@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
-def test_parent_target_test_agrees_with_full_parent(spec):
-    """The early-exit form answers exactly "is the parent's element set t?"."""
-    inst = random_instance(spec)
-    sols = brute_force_solutions(inst)
-    run = _Run(inst)
-    for s in sols:
-        group = [t for t in sols if t.k == s.k]
-        if not 1 <= s.k <= inst.q - 1 or not any(s.elements < t.elements for t in group):
-            continue  # root of its group
-        p = parent(inst, s)
-        assert run._parent(s.elements._mask, s.items._mask, s.k) == p.elements._mask
-        for t in group:
-            tm = t.elements._mask
-            assert (run._parent(s.elements._mask, s.items._mask, s.k, tm) == tm) == (
-                p.elements == t.elements
-            )
-
-
 @pytest.mark.parametrize("reduced", [False, True], ids=["solutions", "components"])
 def test_j_filter_rejects_every_other_group(reduced):
     """An ``l2`` answer outside ``t``'s group gains an item below ``j``.
@@ -215,17 +208,15 @@ def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
     The mask routine keeps the item pass's hull and the element pass's
     common items incrementally; every hull it hands the oracle, and the
     parent's item set, must equal the recomputed ones.  The early-exit
-    form, asked about any strict superset, asks a prefix of the same
-    queries.
+    form answers exactly "is the parent's element set t?" for every
+    solution t of the group, and asked about a strict superset it asks a
+    prefix of the same queries.
     """
     plain = random_instance(spec)
-    oracle = PublicOnly(plain.oracle)
     if reduced:
         plain = ReducedInstance(plain.n, plain.oracle)
-        inst = ReducedInstance(plain.n, oracle)
-    else:
-        inst = Instance(plain.n, plain.q, [list(plain.sigma(v)) for v in range(1, plain.n + 1)],
-                        oracle)
+    inst = public_twin(plain)
+    oracle = inst.oracle
     sols = brute_force_solutions(plain)
     run = _Run(inst)
     for s in sols:
@@ -243,13 +234,13 @@ def test_parent_incremental_hull_and_items_match_recomputation(spec, reduced):
         solution_test = ("l1", s.elements._mask, inst._hull_mask(s.items._mask))
         assert oracle.log == [solution_test] + want_log
         for t in group:
-            if not s.elements < t.elements:
-                continue  # only a strict superset can be the parent
             oracle.log = []
             tm = t.elements._mask
             assert (run._parent(s.elements._mask, s.items._mask, s.k, tm) == tm) == (
                 got.elements == t.elements
             )
+            if not s.elements < t.elements:
+                continue
             # The child test asks the solution test first, unless s fills
             # its hull, then a prefix of the parent's own queries.
             log = oracle.log
@@ -269,9 +260,8 @@ def test_child_test_asks_the_solution_test_first(spec):
     asks, and one that fills its hull asks nothing more than that.
     """
     plain = random_instance(spec)
-    oracle = PublicOnly(plain.oracle)
-    inst = Instance(plain.n, plain.q, [list(plain.sigma(v)) for v in range(1, plain.n + 1)],
-                    oracle)
+    inst = public_twin(plain)
+    oracle = inst.oracle
     sols = {s.elements for s in brute_force_solutions(plain)}
     for c in materialize_components(plain.oracle, plain.n):
         s = make_solution(inst, c)  # a record only: c need not be a solution
@@ -600,6 +590,47 @@ class TestEnumerateAll:
         pruned = {s.elements for s in run_all(inst, rho=SizeAbove(p))}
         unfiltered = {s.elements for s in run_all(inst)}
         assert pruned == {c for c in unfiltered if len(c) > p}
+
+
+class LastMaximal(PublicOnly):
+    """Answers ``l1`` with the last maximal member between ``x`` and ``y`` in subset order.
+
+    The shipped backends answer with the least.  The two differ only where
+    two maximal members lie between ``x`` and ``y``; they meet in ``x``, so
+    a transitive system, where two intersecting components have a union
+    that is one, has no such pair.  ``moved`` counts the answers that differ.
+    """
+
+    moved = 0
+
+    def l1(self, x, y):
+        least = super().l1(x, y)
+        above = [c for c in self.inner.l2(y) if x <= c]
+        last = above[-1] if above else None
+        self.moved += last != least
+        return last
+
+
+def test_output_past_transitive_systems():
+    """Random explicit families need not be transitive; the output stays right.
+
+    The paper proves its delay bound for transitive systems only.  Whichever
+    maximal member ``l1`` picks, both modes must still list exactly what
+    the definition gives: the solutions, and in components mode the family.
+    """
+    intransitive = moved = 0
+    for seed in range(300):
+        inst = random_instance(RandomSpec("explicit", n_range=(2, 9), seed=5000 + seed))
+        members = {c._mask for c in inst.oracle.family}
+        intransitive += any(a & b and a | b not in members for a in members for b in members)
+        for plain in (inst, ReducedInstance(inst.n, inst.oracle)):
+            twin = public_twin(plain, LastMaximal)
+            got = []
+            enumerate_all(twin, sink=once(got.append))
+            got.sort(key=lambda s: (s.k, lex_sort_key(s.elements)))
+            assert got == brute_force_solutions(plain), seed
+            moved += twin.oracle.moved
+    assert intransitive and moved
 
 
 class TestStackMatchesRecursion:

@@ -1,3 +1,12 @@
+"""The shipped backends' ``l1`` and ``l2``.
+
+The explicit backend's bitmap answers are held to a plain scan of the
+family, on 1 to 150 members and across its bit and byte walks; the graph
+backend's to a union-find reference on graphs of up to 40 vertices.
+Both backends' memos must answer as a fresh backend does, also when
+threads share them.
+"""
+
 import itertools
 import random
 import sys

@@ -1,4 +1,4 @@
-"""The parent test's element pass, asked through ``_l1_growth``.
+"""The parent test's element pass, and every override against the defaults.
 
 The element pass grows a solution ``s`` inside a hull one element at a
 time: it keeps each element ``b`` left, in ascending order, with
@@ -6,9 +6,13 @@ time: it keeps each element ``b`` left, in ascending order, with
 the hull holding ``s``.  The hook yields the kept elements.  The default
 asks ``_l1_mask`` bit by bit; both shipped backends answer ``l1`` with that
 least component and ask it once per pass.  Both must yield the same
-elements, and the enumerator must answer and count the same whether a
-shipped backend's hook overrides are in place or hidden behind
-``PublicOnly``, which takes every default.
+elements.
+
+Tier-1's central check is here too: on every acceptance instance, in both
+modes, the shipped backend with its overrides and its public-only twin
+(``conftest.public_twin``), which takes every hook's default, give the
+same records, the same ``OracleStats`` and the same ``parent`` and
+``children`` answers.
 """
 
 import hashlib
@@ -20,7 +24,6 @@ from polyenum import (
     ExplicitFamilyOracle,
     GraphConnectivityOracle,
     IdSet,
-    Instance,
     ReducedInstance,
     SetSystemOracle,
     children,
@@ -33,11 +36,14 @@ from conftest import (
     ACCEPTANCE_SPECS,
     BOWTIE,
     STAR,
+    drawn_components,
     families_and_queries,
     graphs_hulls_and_parts,
     mask,
     outcome,
+    public_twin,
     reference_l1,
+    rendered,
 )
 
 
@@ -84,19 +90,11 @@ def element_pass(oracle, n, sm, ym):
 @example(case=STAR + (mask(1, 2, 3, 5), mask(2, 3, 4)))
 @example(case=(40, [(i, i + 1) for i in range(1, 40)], mask(*range(1, 41)), mask(20)))
 def test_graph_growth_names_what_the_default_names(case):
-    n, edges, ym, part = case
+    n, edges = case[:2]
     g = GraphConnectivityOracle(n, edges)
     plain = PublicOnly(GraphConnectivityOracle(n, edges))
-    full = (1 << (n + 1)) - 2
-    for hull in (ym, full):
-        if not hull:
-            continue
-        # Components inside the hull: its maximal ones, and smaller ones.
-        seeds = g._l2_masks(n, hull)
-        if hull & part:
-            seeds += g._l2_masks(n, hull & part)
-        for sm in seeds:
-            assert element_pass(g, n, sm, hull) == element_pass(plain, n, sm, hull)
+    for hull, sm in drawn_components(*case):
+        assert element_pass(g, n, sm, hull) == element_pass(plain, n, sm, hull)
 
 
 def test_graph_growth_sweeps_once_and_only_when_asked():
@@ -172,19 +170,17 @@ def test_explicit_growth_is_the_greedy_reference_pass(case):
 @pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
 def test_hidden_override_keeps_parent_children_and_counts(spec, reduced):
     inst = random_instance(spec)
-    n = inst.n
-    if spec.kind == "graph":
-        edges = [(u, v) for u, nbrs in inst.oracle.adjacency.items() for v in nbrs if u < v]
-        plain = PublicOnly(GraphConnectivityOracle(n, edges))
-    else:
-        plain = PublicOnly(ExplicitFamilyOracle(n, inst.oracle.family))
     if reduced:
-        inst, hidden = ReducedInstance(n, inst.oracle), ReducedInstance(n, plain)
-    else:
-        hidden = Instance(n, inst.q, [list(inst.sigma(v)) for v in range(1, n + 1)], plain)
+        inst = ReducedInstance(inst.n, inst.oracle)
+    twin = public_twin(inst)
+    got = rendered(lambda sink, st: enumerate_all(twin, sink=sink, stats=st))
+    assert got == rendered(lambda sink, st: enumerate_all(inst, sink=sink, stats=st))
+    # Each counted l1 and l2 is one query the twin was asked.
+    final, ops = got[1][0], [q[0] for q in twin.oracle.log]
+    assert (final["l1_calls"], final["l2_calls"]) == (ops.count("l1"), ops.count("l2"))
     for s in brute_force_solutions(inst):
         for ask in (parent, children):
-            assert outcome(ask, inst, s) == outcome(ask, hidden, s)
+            assert outcome(ask, inst, s) == outcome(ask, twin, s)
 
 
 # The queries a custom backend receives from enumerate_all and from the
@@ -197,8 +193,7 @@ def test_custom_backend_sees_the_same_queries():
     for kind in ("graph", "explicit"):
         for seed in range(30):
             inst = random_instance(RandomSpec(kind=kind, n_range=(1, 8), seed=seed))
-            sigma = [list(inst.sigma(v)) for v in range(1, inst.n + 1)]
-            custom = Instance(inst.n, inst.q, sigma, PublicOnly(inst.oracle))
+            custom = public_twin(inst)
             enumerate_all(custom)
             for s in brute_force_solutions(inst):
                 children(custom, s)

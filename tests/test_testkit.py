@@ -1,3 +1,5 @@
+"""The references in ``polyenum.testkit``: brute force, ``PublicOnly`` and the generators."""
+
 import pytest
 
 from polyenum import (
@@ -8,11 +10,8 @@ from polyenum import (
     OracleStats,
     ReducedInstance,
     SetSystemOracle,
-    enumerate_all,
-    enumerate_components,
     make_solution,
 )
-from polyenum.cli import parse_instance
 from polyenum.testkit import (
     MATERIALIZE_BOUND,
     PublicOnly,
@@ -24,7 +23,7 @@ from polyenum.testkit import (
     random_instance,
 )
 
-from conftest import P3_JSON, elems, rendered
+from conftest import elems
 
 
 def test_materialize_graph_components():
@@ -103,16 +102,6 @@ class TestPublicOnly:
         assert logged.l1(ends, ends) is g.l1(ends, ends) is None
         assert logged.delta_hint() == g.delta_hint()
         assert logged.log == [("l2", 0b1110), ("l1", 0b100, 0b1110), ("l1", 0b1010, 0b1010)]
-
-    def test_enumeration_through_it_matches_the_inner_backend(self):
-        inst = parse_instance(P3_JSON)
-        sigma = [list(inst.sigma(v)) for v in range(1, inst.n + 1)]
-        custom = Instance(inst.n, inst.q, sigma, PublicOnly(inst.oracle))
-        assert rendered(lambda sink, st: enumerate_all(custom, sink=sink, stats=st)) == rendered(
-            lambda sink, st: enumerate_all(inst, sink=sink, stats=st))
-        logged = PublicOnly(inst.oracle)
-        assert rendered(lambda sink, st: enumerate_components(logged, 3, sink=sink, stats=st)) == (
-            rendered(lambda sink, st: enumerate_components(inst.oracle, 3, sink=sink, stats=st)))
 
 
 class TestGenerators:
