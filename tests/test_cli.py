@@ -107,6 +107,12 @@ class TestParseInstance:
 
 
 class TestRun:
+    def test_p3_golden_text(self, tmp_path):
+        path = write_doc(tmp_path, P3_DOC)
+        code, out, err = invoke(["--input", path])
+        assert code == 0
+        assert out == P3_GOLDEN
+
     def test_min_size_prunes(self, tmp_path):
         path = write_doc(tmp_path, P3_DOC)
         code, out, _ = invoke(["--input", path, "--min-size", "1"])
@@ -156,6 +162,13 @@ class TestRun:
             assert code == 2
             assert "--k" in err
             assert out == ""
+
+    def test_verify_ok(self, tmp_path):
+        path = write_doc(tmp_path, P3_DOC)
+        for extra in ([], ["--components"], ["--min-size", "1"], ["--k", "1"]):
+            code, _, err = invoke(["--input", path, "--verify", *extra])
+            assert code == 0, err
+            assert "verify: ok" in err
 
     def test_verify_mismatch_exits_1(self, tmp_path, monkeypatch):
         path = write_doc(tmp_path, P3_DOC)

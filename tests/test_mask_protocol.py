@@ -2,10 +2,11 @@
 
 The enumerator asks the backends through ``_l1_mask``/``_l2_masks`` and
 the instance through its ``_*_mask`` algebra.  These tests hold each mask
-method to the public IdSet method it serves, and check that an answer
-from another universe, or an empty one, fails loudly.  A custom backend
-(the public ``l1``/``l2`` only) is held to the shipped backends' output
-in ``test_parent_growth.py``.
+method to the public IdSet method it serves, hold each shipped backend's
+output to its public-only twin's, and check that an answer from another
+universe, or an empty one, fails loudly.  The twin's ``parent`` and
+``children`` answers are held to the shipped backend's in
+``test_parent_growth.py``.
 """
 
 import io
@@ -26,7 +27,23 @@ from polyenum import (
 from polyenum import cli
 from polyenum.testkit import PublicOnly, RandomSpec, random_instance
 
-from conftest import P3_JSON, P3_SIGMA, reference_algebra
+from conftest import ACCEPTANCE_SPECS, P3_JSON, P3_SIGMA, public_twin, reference_algebra, rendered
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_SPECS, ids=lambda s: f"{s.kind}{s.seed}")
+def test_adapter_path_matches_shipped_backend(spec):
+    """The shipped backend, with its hook overrides, and its public-only twin
+    (``conftest.public_twin``), which takes every hook's default, give the
+    same records and the same stats at each output and at the end, in both
+    modes; and each counted ``l1`` and ``l2`` is one query the twin was asked.
+    """
+    plain = random_instance(spec)
+    for inst in (plain, ReducedInstance(plain.n, plain.oracle)):
+        twin = public_twin(inst)
+        got = rendered(lambda sink, st: enumerate_all(twin, sink=sink, stats=st))
+        assert got == rendered(lambda sink, st: enumerate_all(inst, sink=sink, stats=st))
+        final, ops = got[1][0], [q[0] for q in twin.oracle.log]
+        assert (final["l1_calls"], final["l2_calls"]) == (ops.count("l1"), ops.count("l2"))
 
 
 class ForeignL1(PublicOnly):

@@ -8,11 +8,11 @@ asks ``_l1_mask`` bit by bit; both shipped backends answer ``l1`` with that
 least component and ask it once per pass.  Both must yield the same
 elements.
 
-Tier-1's central check is here too: on every acceptance instance, in both
-modes, the shipped backend with its overrides and its public-only twin
-(``conftest.public_twin``), which takes every hook's default, give the
-same records, the same ``OracleStats`` and the same ``parent`` and
-``children`` answers.
+On every acceptance instance, in both modes, the shipped backend with its
+overrides and its public-only twin (``conftest.public_twin``), which takes
+every hook's default, give the same ``parent`` and ``children`` answers
+and counts.  ``test_mask_protocol.py`` holds the twin's records and
+``OracleStats`` to the shipped backend's.
 """
 
 import hashlib
@@ -43,7 +43,6 @@ from conftest import (
     outcome,
     public_twin,
     reference_l1,
-    rendered,
 )
 
 
@@ -173,11 +172,6 @@ def test_hidden_override_keeps_parent_children_and_counts(spec, reduced):
     if reduced:
         inst = ReducedInstance(inst.n, inst.oracle)
     twin = public_twin(inst)
-    got = rendered(lambda sink, st: enumerate_all(twin, sink=sink, stats=st))
-    assert got == rendered(lambda sink, st: enumerate_all(inst, sink=sink, stats=st))
-    # Each counted l1 and l2 is one query the twin was asked.
-    final, ops = got[1][0], [q[0] for q in twin.oracle.log]
-    assert (final["l1_calls"], final["l2_calls"]) == (ops.count("l1"), ops.count("l2"))
     for s in brute_force_solutions(inst):
         for ask in (parent, children):
             assert outcome(ask, inst, s) == outcome(ask, twin, s)

@@ -10,8 +10,11 @@ from polyenum import (
     OracleStats,
     ReducedInstance,
     SetSystemOracle,
+    enumerate_all,
+    enumerate_components,
     make_solution,
 )
+from polyenum.cli import parse_instance
 from polyenum.testkit import (
     MATERIALIZE_BOUND,
     PublicOnly,
@@ -23,7 +26,7 @@ from polyenum.testkit import (
     random_instance,
 )
 
-from conftest import elems
+from conftest import P3_JSON, elems, public_twin, rendered
 
 
 def test_materialize_graph_components():
@@ -102,6 +105,15 @@ class TestPublicOnly:
         assert logged.l1(ends, ends) is g.l1(ends, ends) is None
         assert logged.delta_hint() == g.delta_hint()
         assert logged.log == [("l2", 0b1110), ("l1", 0b100, 0b1110), ("l1", 0b1010, 0b1010)]
+
+    def test_enumeration_through_it_matches_the_inner_backend(self):
+        """The p3 document, through ``enumerate_all`` and the public ``enumerate_components``."""
+        inst = parse_instance(P3_JSON)
+        assert rendered(lambda sink, st: enumerate_all(public_twin(inst), sink=sink, stats=st)) == (
+            rendered(lambda sink, st: enumerate_all(inst, sink=sink, stats=st)))
+        logged = PublicOnly(inst.oracle)
+        assert rendered(lambda sink, st: enumerate_components(logged, 3, sink=sink, stats=st)) == (
+            rendered(lambda sink, st: enumerate_components(inst.oracle, 3, sink=sink, stats=st)))
 
 
 class TestGenerators:
